@@ -17,11 +17,10 @@ truncation of the same table with the apex in front.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from . import linalg as la
 from .errors import CapError, DimensionError, FalsificationError
-from .fields import Field, FieldError, Scalar
+from .fields import Field, FieldError
 from .linalg import Matrix, Subspace, Vector
 from .polyring import PolyRing
 from .reports import CheckReport
@@ -152,6 +151,18 @@ def apex_algebra(field: Field, dim: int) -> Algebra:
 
 def is_apex_algebra(A: Algebra) -> bool:
     return A == apex_algebra(A.field, A.dim)
+
+
+def _check_shape(A: Algebra, M: Matrix) -> None:
+    if len(M) != A.dim or any(len(row) != A.dim for row in M):
+        raise DimensionError("matrix shape does not match the algebra")
+
+
+def _check_apex(A: Algebra, M: Matrix) -> None:
+    _check_shape(A, M)
+    if not is_apex_algebra(A):
+        raise DimensionError("residual systems and the case analysis are "
+                             "specific to the apex table")
 
 
 def dot_product_algebra(field: Field, marked: Vector) -> Algebra:

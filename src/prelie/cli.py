@@ -16,7 +16,7 @@ from . import linalg as la
 from .algebras import (Algebra, apex_algebra, check_identity,
                        dot_product_algebra, infinite_truncation_algebra,
                        is_apex_algebra, is_simple, upper_triangular_algebra)
-from .errors import CapError, DimensionError, FalsificationError, PrelieError
+from .errors import DimensionError, FalsificationError, PrelieError
 from .fields import Field, FieldError, make_field
 from .rota_baxter import (classify_case, enumerate_decompositions,
                           enumerate_rb_operators, is_rb_operator,
@@ -241,7 +241,8 @@ def cmd_rb_index(args) -> int:
     A = _build_algebra(args)
     F = A.field
     w = _parse_weight(F, args.weight)
-    idx = rb_index(A, w, cap=args.cap, workers=args.workers)
+    ops = enumerate_rb_operators(A, w, cap=args.cap, workers=args.workers)
+    idx = rb_index(A, w, ops)
     _emit(args, {"weight": F.format(w),
                  "index": "infinity" if idx is None else idx})
     return 0
@@ -301,6 +302,16 @@ def _json_safe(F: Field, value):
 
 # ------------------------------------------------------------------- parser
 
+def _worker_count(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
+    return workers
+
+
 def _add_algebra_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--algebra", help="path to an algebra JSON file")
     p.add_argument("--family", choices=FAMILIES,
@@ -319,8 +330,9 @@ def _add_algebra_flags(p: argparse.ArgumentParser) -> None:
                                     "family ex1")
     p.add_argument("--cap", type=int, default=10 ** 7,
                    help="abort enumerations larger than this")
-    p.add_argument("--workers", type=int, default=1,
-                   help="processes for exhaustive scans")
+    p.add_argument("--workers", type=_worker_count, default=1,
+                   help="processes for exhaustive scans (at least 1; "
+                        "capped at the CPU count)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized cross-checks")
     p.add_argument("--out", help="also write the JSON output to this file")
@@ -396,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated field specs")
     p.add_argument("--max-n", type=int, default=4, dest="max_n")
     p.add_argument("--cap", type=int, default=10 ** 7)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="also write the report to this file")
     p.set_defaults(fn=cmd_verify_theorems)
@@ -408,20 +420,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except FalsificationError as exc:
         print(json.dumps({"falsified": str(exc),
                           "witness": repr(exc.witness)}, indent=2))
         return FALSIFIED
-    except (CapError, FieldError, DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except PrelieError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
+    except (UsageError, PrelieError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -20,18 +20,15 @@ Vector = tuple
 Matrix = tuple
 
 __all__ = [
-    "Subspace", "basis_vector", "column_space", "complement_in",
-    "decode_matrix", "dot", "enumerate_matrices", "enumerate_projective",
-    "enumerate_subspaces", "enumerate_vectors", "extended_form",
-    "gram_matrix", "hyperplane_form", "identity_matrix", "intersect",
+    "Subspace", "basis_vector", "column_space", "decode_matrix", "dot",
+    "enumerate_matrices", "enumerate_projective", "enumerate_subspaces",
+    "enumerate_vectors", "gram_matrix", "identity_matrix", "intersect",
     "is_direct_sum", "is_invertible", "is_lagrangian", "is_orthogonal",
     "is_skew_symmetric", "is_zero_matrix", "is_zero_vector", "kernel",
-    "mat_add", "mat_eq", "mat_mul", "mat_pow", "mat_scale", "mat_sub",
-    "mat_vec", "matrix_from_json", "matrix_sort_key", "matrix_to_json",
-    "random_matrix", "random_vector", "rref", "solve", "span",
-    "subspace_from_json", "subspace_sum", "subspace_to_json", "trace",
-    "transpose", "vadd", "vneg", "vscale", "vsub", "vector_sort_key",
-    "zero_matrix", "zero_vector",
+    "mat_add", "mat_mul", "mat_scale", "mat_sub", "mat_vec",
+    "matrix_from_json", "matrix_sort_key", "random_matrix", "random_vector",
+    "rref", "solve", "span", "subspace_sum", "trace", "transpose", "vadd",
+    "vneg", "vscale", "vsub", "zero_matrix", "zero_vector",
 ]
 
 
@@ -93,15 +90,6 @@ def mat_sub(F: Field, A: Matrix, B: Matrix) -> Matrix:
 
 def mat_scale(F: Field, c: Scalar, A: Matrix) -> Matrix:
     return tuple(vscale(F, c, r) for r in A)
-
-def mat_pow(F: Field, A: Matrix, k: int) -> Matrix:
-    out = identity_matrix(F, len(A))
-    for _ in range(k):
-        out = mat_mul(F, out, A)
-    return out
-
-def mat_eq(A: Matrix, B: Matrix) -> bool:
-    return A == B
 
 def is_zero_matrix(F: Field, A: Matrix) -> bool:
     return all(is_zero_vector(F, r) for r in A)
@@ -274,28 +262,6 @@ def intersect(W1: Subspace, W2: Subspace) -> Subspace:
     return span(F, n, pts)
 
 
-def complement_in(W: Subspace, U: Subspace) -> Subspace:
-    """Deterministic complement of W inside U, greedy over U's canonical basis."""
-    _check_same_ambient(W, U)
-    F = W.field
-    for row in W.basis:
-        if not U.contains(row):
-            raise DimensionError("W is not contained in U")
-    picked: list[Vector] = []
-    current = list(W.basis)
-    for u in U.basis:
-        _, rank_before, _ = rref(F, current) if current else ((), 0, ())
-        trial = current + [u]
-        _, rank_after, _ = rref(F, trial)
-        if rank_after > rank_before:
-            picked.append(u)
-            current = trial
-    comp = span(F, W.ambient, picked)
-    if W.dim + comp.dim != U.dim:
-        raise DimensionError("complement construction failed")
-    return comp
-
-
 def is_direct_sum(W1: Subspace, W2: Subspace, ambient_dim: int) -> bool:
     _check_same_ambient(W1, W2)
     if W1.ambient != ambient_dim:
@@ -311,16 +277,6 @@ def _check_same_ambient(W1: Subspace, W2: Subspace) -> None:
 
 
 # -------------------------------------------------------------------- forms
-
-def hyperplane_form(F: Field, a: Vector, b: Vector) -> Scalar:
-    """Standard dot product on hyperplane coordinates (length n-1 vectors)."""
-    return dot(F, a, b)
-
-
-def extended_form(F: Field, x: Vector, y: Vector) -> Scalar:
-    """Dot product on full coordinates: (v, u) + alpha*beta for v+alpha*e_n."""
-    return dot(F, x, y)
-
 
 def gram_matrix(F: Field, rows: Sequence[Vector]) -> Matrix:
     return tuple(tuple(dot(F, a, b) for b in rows) for a in rows)
@@ -413,10 +369,6 @@ def decode_matrix(F: Field, rows: int, cols: int, index: int,
     return tuple(tuple(flat[r * cols:(r + 1) * cols]) for r in range(rows))
 
 
-def vector_sort_key(F: Field, x: Vector) -> tuple:
-    return tuple(F.sort_key(e) for e in x)
-
-
 def matrix_sort_key(F: Field, M: Matrix) -> tuple:
     return tuple(F.sort_key(e) for row in M for e in row)
 
@@ -437,10 +389,6 @@ def random_matrix(F: Field, rows: int, cols: int, rng) -> Matrix:
 
 # -------------------------------------------------------------------- JSON
 
-def matrix_to_json(F: Field, M: Matrix) -> list[str]:
-    """Row-major list of scalar literals."""
-    return [F.format(e) for row in M for e in row]
-
 def matrix_from_json(F: Field, data, rows: int, cols: int) -> Matrix:
     if isinstance(data, dict):
         data = data.get("entries", data)
@@ -454,16 +402,3 @@ def matrix_from_json(F: Field, data, rows: int, cols: int) -> Matrix:
         raise DimensionError(f"expected {rows * cols} entries, got {len(flat)}")
     vals = [F.parse(str(e)) for e in flat]
     return tuple(tuple(vals[r * cols:(r + 1) * cols]) for r in range(rows))
-
-def subspace_to_json(W: Subspace) -> dict:
-    F = W.field
-    return {"ambient_dim": W.ambient,
-            "basis": [[F.format(e) for e in row] for row in W.basis]}
-
-def subspace_from_json(F: Field, data: dict) -> Subspace:
-    n = int(data["ambient_dim"])
-    rows = [tuple(F.parse(str(e)) for e in row) for row in data.get("basis", [])]
-    for row in rows:
-        if len(row) != n:
-            raise DimensionError("basis row length differs from ambient_dim")
-    return span(F, n, rows)

@@ -24,11 +24,11 @@ symmetry module.
 from __future__ import annotations
 
 from . import linalg as la
-from .algebras import Algebra, is_apex_algebra, is_subalgebra
+from .algebras import Algebra, _check_apex, _check_shape, is_subalgebra
 from .errors import CapError, DimensionError, FalsificationError
-from .fields import Field, FieldError, Scalar, make_field
+from .fields import Field, FieldError, Scalar
 from .linalg import Matrix, Subspace
-from .parallel import run_chunks
+from .parallel import scan_matrices
 from .reports import CheckReport, residual_report
 
 __all__ = [
@@ -48,23 +48,30 @@ def is_rb_operator(A: Algebra, R: Matrix, weight: Scalar) -> CheckReport:
     """The defining identity on all basis pairs; witness is the first
     failing pair (1-based)."""
     _check_shape(A, R)
+    witness = _rb_failure(A, R, weight)
+    return CheckReport(witness is None, witness=witness)
+
+
+def _is_rb(A: Algebra, R: Matrix, weight: Scalar) -> bool:
+    return _rb_failure(A, R, weight) is None
+
+
+def _rb_failure(A: Algebra, R: Matrix,
+                weight: Scalar) -> tuple[int, int] | None:
+    """The first basis pair (1-based) on which the defining identity fails,
+    or None when it holds on every pair."""
     F = A.field
     cols = la.transpose(R)
     for i in range(A.dim):
         for j in range(A.dim):
-            if not _rb_pair_holds(A, R, cols, weight, i, j):
-                return CheckReport(False, witness=(i + 1, j + 1))
-    return CheckReport(True)
-
-
-def _rb_pair_holds(A: Algebra, R: Matrix, cols, weight: Scalar,
-                   i: int, j: int) -> bool:
-    F = A.field
-    lhs = A.multiply(cols[i], cols[j])
-    inner = la.vadd(F, A.multiply(cols[i], A.basis(j)),
-                    A.multiply(A.basis(i), cols[j]))
-    inner = la.vadd(F, inner, la.vscale(F, weight, A.basis_product(i, j)))
-    return lhs == la.mat_vec(F, R, inner)
+            lhs = A.multiply(cols[i], cols[j])
+            inner = la.vadd(F, A.multiply(cols[i], A.basis(j)),
+                            A.multiply(A.basis(i), cols[j]))
+            inner = la.vadd(F, inner,
+                            la.vscale(F, weight, A.basis_product(i, j)))
+            if lhs != la.mat_vec(F, R, inner):
+                return i + 1, j + 1
+    return None
 
 
 def reflect_operator(F: Field, R: Matrix, weight: Scalar) -> Matrix:
@@ -85,8 +92,8 @@ def is_splitting(F: Field, R: Matrix, weight: Scalar) -> bool:
 def is_trivial_operator(F: Field, R: Matrix, weight: Scalar) -> bool:
     """R = 0 or R = -w id, the operators present for every algebra."""
     n = len(R)
-    return la.is_zero_matrix(F, R) or la.mat_eq(
-        R, la.mat_scale(F, F.neg(weight), la.identity_matrix(F, n)))
+    return la.is_zero_matrix(F, R) or R == la.mat_scale(
+        F, F.neg(weight), la.identity_matrix(F, n))
 
 
 # ------------------------------------------------------- residual system
@@ -212,7 +219,7 @@ def splitting_certificate(A: Algebra, R: Matrix,
     if not (sub1 and sub2 and direct):
         return CheckReport(False, witness=(k1, k2), details=details)
     rebuilt = splitting_operator(A, k1, k2, weight)
-    details["reproduced"] = la.mat_eq(rebuilt, R)
+    details["reproduced"] = rebuilt == R
     return CheckReport(details["reproduced"],
                        witness=None if details["reproduced"] else rebuilt,
                        details=details)
@@ -260,7 +267,7 @@ def classify_case(A: Algebra, R: Matrix, weight: Scalar) -> CheckReport:
                                      witness=S)
         target = la.mat_scale(F, F.mul(half_w, half_w),
                               la.identity_matrix(F, n))
-        if not la.mat_eq(la.mat_mul(F, S, S), target):
+        if la.mat_mul(F, S, S) != target:
             raise FalsificationError(
                 "case 1 shift square is not (w^2/4)E", witness=S)
         return CheckReport(True, details={
@@ -326,38 +333,14 @@ def enumerate_rb_operators(A: Algebra, weight: Scalar, cap: int = 10 ** 7,
                            workers: int = 1) -> list[Matrix]:
     """All weight-w operators on A over a finite field, by exhaustive scan
     of the matrix space, canonical enumeration order."""
-    F = A.field
-    if not F.is_finite:
-        raise CapError("operator enumeration requires a finite field")
-    total = F.order ** (A.dim * A.dim)
-    if total > cap:
-        raise CapError(f"{total} candidate matrices exceed cap {cap}")
-    return run_chunks(_rb_chunk,
-                      (F.descriptor(), A.to_json(), F.format(weight)),
-                      total, workers)
+    return scan_matrices(A, _is_rb, (weight,), cap=cap, workers=workers)
 
 
-def _rb_chunk(args) -> list[Matrix]:
-    field_desc, algebra_json, weight_literal, start, stop = args
-    F = make_field(field_desc)
-    A = Algebra.from_json(algebra_json, field=F)
-    w = F.parse(weight_literal)
-    elems = list(F.elements())
-    n = A.dim
-    out = []
-    for index in range(start, stop):
-        R = la.decode_matrix(F, n, n, index, elems)
-        cols = la.transpose(R)
-        if all(_rb_pair_holds(A, R, cols, w, i, j)
-               for i in range(n) for j in range(n)):
-            out.append(R)
-    return out
-
-
-def rb_index(A: Algebra, weight: Scalar, cap: int = 10 ** 7,
-             workers: int = 1) -> int | None:
-    """The least m such that every weight-w operator R admits some k <= m
-    with R^k (R + wE)^(m-k) = 0; None when no m up to dim^2 works.
+def rb_index(A: Algebra, weight: Scalar,
+             operators: list[Matrix]) -> int | None:
+    """The least m such that every weight-w operator R in `operators` (the
+    complete set, from enumerate_rb_operators) admits some k <= m with
+    R^k (R + wE)^(m-k) = 0; None when no m up to dim^2 works.
 
     Kernel chains stabilize within dim steps, so any operator admitting
     such a vanishing at all admits one with m <= 2 dim <= dim^2 + 1; the
@@ -365,12 +348,11 @@ def rb_index(A: Algebra, weight: Scalar, cap: int = 10 ** 7,
     """
     F = A.field
     n = A.dim
-    ops = enumerate_rb_operators(A, weight, cap=cap, workers=workers)
     shift = lambda R: la.mat_add(F, R, la.mat_scale(
         F, weight, la.identity_matrix(F, n)))
     bound = max(n * n, 1)
     worst = 0
-    for R in ops:
+    for R in operators:
         rp = _powers(F, R, bound)
         sp = _powers(F, shift(R), bound)
         m_r = next((m for m in range(1, bound + 1)
@@ -543,17 +525,3 @@ def rational_triviality_check(A: Algebra, R: Matrix,
         raise FalsificationError(
             "rational matrix with zero Gram is nonzero", witness=B)
     return CheckReport(True, details={"resolved": "minus_weight"})
-
-
-# ----------------------------------------------------------------- shared
-
-def _check_shape(A: Algebra, M: Matrix) -> None:
-    if len(M) != A.dim or any(len(row) != A.dim for row in M):
-        raise DimensionError("matrix shape does not match the algebra")
-
-
-def _check_apex(A: Algebra, M: Matrix) -> None:
-    _check_shape(A, M)
-    if not is_apex_algebra(A):
-        raise DimensionError("residual systems and the case analysis are "
-                             "specific to the apex table")

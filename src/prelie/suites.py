@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 import time
 import zlib
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from . import linalg as la
 from .algebras import (apex_algebra, check_identity, dot_product_algebra,
@@ -41,12 +41,12 @@ from .rota_baxter import (classify_case, enumerate_decompositions,
                           reflect_operator, skew_pairing_operator,
                           splitting_certificate, splitting_operator,
                           square_isotropy_check, totally_real_isotropy_check)
-from .symmetry import (automorphism_orthogonal_correspondence,
+from .symmetry import (_embed, automorphism_orthogonal_correspondence,
                        automorphism_residual_report,
                        derivation_residual_report,
                        derivation_skew_correspondence, embed_orthogonal,
-                       embed_skew, enumerate_automorphisms,
-                       enumerate_orthogonal, is_automorphism, is_derivation)
+                       embed_skew, enumerate_orthogonal, is_automorphism,
+                       is_derivation)
 
 __all__ = ["CheckRecord", "RunConfig", "SUITES", "run_suite"]
 
@@ -299,7 +299,7 @@ def _check_decompositions(config: RunConfig) -> tuple[bool, str | None]:
 
 def _check_index(config: RunConfig) -> tuple[bool, str | None]:
     for F, n, w, A, ops in _operator_sets(config):
-        idx = rb_index(A, w, cap=config.cap, workers=config.workers)
+        idx = rb_index(A, w, ops)
         if idx is None or idx > 2:
             return False, f"index {idx} at {F!r} n={n} w={F.format(w)}"
         trivial_only = all(is_trivial_operator(F, R, w) for R in ops)
@@ -416,26 +416,19 @@ def _check_unital_lifts(config: RunConfig) -> tuple[bool, str | None]:
         return False, "unital extension is not left-symmetric"
     for Q in enumerate_orthogonal(gf3, 2, cap=config.cap):
         phi = embed_orthogonal(gf3, Q, 3)
-        lift = _corner_extend(gf3, phi, gf3.one)
+        lift = _embed(gf3, phi, gf3.one)
         if not is_automorphism(U, lift).ok:
             return False, f"automorphism lift fails for block {Q}"
     S = ((gf3.zero, gf3.one), (gf3.neg(gf3.one), gf3.zero))
     d = embed_skew(gf3, S, 3)
-    if not is_derivation(U, _corner_extend(gf3, d, gf3.zero)).ok:
+    if not is_derivation(U, _embed(gf3, d, gf3.zero)).ok:
         return False, "derivation lift fails"
     for w in gf3.elements():
         for R in enumerate_rb_operators(A, w, cap=config.cap,
                                         workers=config.workers):
-            if not is_rb_operator(U, _corner_extend(gf3, R, gf3.zero), w).ok:
+            if not is_rb_operator(U, _embed(gf3, R, gf3.zero), w).ok:
                 return False, f"operator lift fails at w={gf3.format(w)}: {R}"
     return True, None
-
-
-def _corner_extend(F: Field, M, corner):
-    n = len(M)
-    rows = [tuple(M[r]) + (F.zero,) for r in range(n)]
-    rows.append((F.zero,) * n + (corner,))
-    return tuple(rows)
 
 
 def _check_anticommutator(config: RunConfig) -> tuple[bool, str | None]:

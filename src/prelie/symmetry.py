@@ -18,11 +18,11 @@ of the defect, `_s(...)` its apex coordinate.
 from __future__ import annotations
 
 from . import linalg as la
-from .algebras import Algebra, is_apex_algebra
-from .errors import CapError, DimensionError
-from .fields import Field, make_field
+from .algebras import Algebra, _check_apex, _check_shape, is_apex_algebra
+from .errors import DimensionError
+from .fields import Field
 from .linalg import Matrix, Subspace
-from .parallel import run_chunks
+from .parallel import scan_matrices
 from .reports import CheckReport, residual_report
 
 __all__ = [
@@ -45,24 +45,30 @@ def is_automorphism(A: Algebra, phi: Matrix) -> CheckReport:
     witness is the first failing basis pair (1-based), if any.
     """
     _check_shape(A, phi)
-    F = A.field
-    cols = la.transpose(phi)
-    witness = None
-    multiplicative = True
-    for i in range(A.dim):
-        for j in range(A.dim):
-            lhs = A.multiply(cols[i], cols[j])
-            rhs = la.mat_vec(F, phi, A.basis_product(i, j))
-            if lhs != rhs:
-                multiplicative = False
-                witness = (i + 1, j + 1)
-                break
-        if not multiplicative:
-            break
-    invertible = la.is_invertible(F, phi)
+    witness = _product_failure(A, phi)
+    multiplicative = witness is None
+    invertible = la.is_invertible(A.field, phi)
     return CheckReport(multiplicative and invertible, witness=witness,
                        details={"multiplicative": multiplicative,
                                 "invertible": invertible})
+
+
+def _is_automorphism(A: Algebra, phi: Matrix) -> bool:
+    return _product_failure(A, phi) is None and \
+        la.is_invertible(A.field, phi)
+
+
+def _product_failure(A: Algebra, phi: Matrix) -> tuple[int, int] | None:
+    """The first basis pair (1-based) with phi(x)phi(y) != phi(xy), or None
+    when phi preserves every basis product."""
+    F = A.field
+    cols = la.transpose(phi)
+    for i in range(A.dim):
+        for j in range(A.dim):
+            lhs = A.multiply(cols[i], cols[j])
+            if lhs != la.mat_vec(F, phi, A.basis_product(i, j)):
+                return i + 1, j + 1
+    return None
 
 
 def is_derivation(A: Algebra, d: Matrix) -> CheckReport:
@@ -221,7 +227,7 @@ def embed_orthogonal(F: Field, Q: Matrix, dim: int) -> Matrix:
     _check_block(F, Q, dim)
     if not la.is_orthogonal(F, Q):
         raise ValueError("block is not orthogonal")
-    return _embed(F, Q, dim, F.one)
+    return _embed(F, Q, F.one)
 
 
 def embed_skew(F: Field, S: Matrix, dim: int) -> Matrix:
@@ -231,11 +237,13 @@ def embed_skew(F: Field, S: Matrix, dim: int) -> Matrix:
         raise ValueError("block is not skew-symmetric")
     if any(S[i][i] != F.zero for i in range(dim - 1)):
         raise ValueError("block has a nonzero diagonal entry")
-    return _embed(F, S, dim, F.zero)
+    return _embed(F, S, F.zero)
 
 
-def _embed(F: Field, B: Matrix, dim: int, corner) -> Matrix:
-    m = dim - 1
+def _embed(F: Field, B: Matrix, corner) -> Matrix:
+    """diag(B, corner): B bordered by a zero row and column meeting at
+    `corner`."""
+    m = len(B)
     rows = [tuple(B[r]) + (F.zero,) for r in range(m)]
     rows.append((F.zero,) * m + (corner,))
     return tuple(rows)
@@ -251,38 +259,7 @@ def enumerate_automorphisms(A: Algebra, cap: int = 10 ** 7,
                             workers: int = 1) -> list[Matrix]:
     """All automorphisms of A over a finite field, by exhaustive scan of the
     full matrix space, in canonical enumeration order."""
-    F = A.field
-    if not F.is_finite:
-        raise CapError("automorphism enumeration requires a finite field")
-    total = F.order ** (A.dim * A.dim)
-    if total > cap:
-        raise CapError(f"{total} candidate matrices exceed cap {cap}")
-    return run_chunks(_automorphism_chunk,
-                      (F.descriptor(), A.to_json()), total, workers)
-
-
-def _automorphism_chunk(args) -> list[Matrix]:
-    field_desc, algebra_json, start, stop = args
-    F = make_field(field_desc)
-    A = Algebra.from_json(algebra_json, field=F)
-    elems = list(F.elements())
-    out = []
-    for index in range(start, stop):
-        phi = la.decode_matrix(F, A.dim, A.dim, index, elems)
-        if _multiplicative(A, phi) and la.is_invertible(F, phi):
-            out.append(phi)
-    return out
-
-
-def _multiplicative(A: Algebra, phi: Matrix) -> bool:
-    F = A.field
-    cols = la.transpose(phi)
-    for i in range(A.dim):
-        for j in range(A.dim):
-            if A.multiply(cols[i], cols[j]) != la.mat_vec(F, phi,
-                                                          A.basis_product(i, j)):
-                return False
-    return True
+    return scan_matrices(A, _is_automorphism, cap=cap, workers=workers)
 
 
 # -------------------------------------------------- classification checks
@@ -350,18 +327,7 @@ def _has_skew_block_shape(F: Field, M: Matrix) -> bool:
 
 # ----------------------------------------------------------------- shared
 
-def _check_shape(A: Algebra, M: Matrix) -> None:
-    if len(M) != A.dim or any(len(row) != A.dim for row in M):
-        raise DimensionError("matrix shape does not match the algebra")
-
-
 def _check_block(F: Field, B: Matrix, dim: int) -> None:
     m = dim - 1
     if len(B) != m or any(len(row) != m for row in B):
         raise DimensionError(f"block must be {m} x {m}")
-
-
-def _check_apex(A: Algebra, M: Matrix) -> None:
-    _check_shape(A, M)
-    if not is_apex_algebra(A):
-        raise DimensionError("residual systems are specific to the apex table")

@@ -249,7 +249,7 @@ def test_criterion_10_index_bound():
     problems = []
     for n, spec, w, A, ops in operator_sets():
         F = A.field
-        idx = rb_index(A, w)
+        idx = rb_index(A, w, ops)
         if idx is None or idx > 2:
             problems.append((n, spec, F.format(w), idx))
         trivial_only = all(is_trivial_operator(F, R, w) for R in ops)

@@ -423,6 +423,21 @@ def test_unknown_suite_rejected_by_parser(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["build", "check-identity",
+                                     "simplicity", "derivations",
+                                     "automorphisms", "rb-verify",
+                                     "rb-enumerate", "rb-index", "decompose",
+                                     "verify-theorems"])
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_is_usage_error(capsys, command, workers):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--workers", workers])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--workers" in err and "at least 1" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_command_rejected_by_parser(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

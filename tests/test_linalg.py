@@ -7,17 +7,15 @@ import pytest
 
 from prelie.errors import CapError, DimensionError
 from prelie.fields import PrimeField, QuadraticField, RationalField
-from prelie.linalg import (Subspace, column_space, complement_in,
-                           decode_matrix, dot, enumerate_matrices,
-                           enumerate_projective, enumerate_subspaces,
-                           enumerate_vectors, extended_form, gram_matrix,
-                           hyperplane_form, identity_matrix, intersect,
+from prelie.linalg import (Subspace, column_space, decode_matrix, dot,
+                           enumerate_matrices, enumerate_projective,
+                           enumerate_subspaces, enumerate_vectors,
+                           gram_matrix, identity_matrix, intersect,
                            is_direct_sum, is_invertible, is_lagrangian,
                            is_orthogonal, is_skew_symmetric, is_zero_matrix,
-                           is_zero_vector, kernel, mat_mul, mat_pow, mat_vec,
-                           matrix_from_json, matrix_to_json, random_matrix,
-                           rref, solve, span, subspace_from_json,
-                           subspace_sum, subspace_to_json, trace, transpose)
+                           is_zero_vector, kernel, mat_mul, mat_vec,
+                           matrix_from_json, random_matrix, rref, solve, span,
+                           subspace_sum, trace, transpose)
 
 Q = RationalField()
 GF3 = PrimeField(3)
@@ -67,9 +65,8 @@ def test_subspace_operations():
     assert total.dim == 3
     mid = intersect(e12, e23)
     assert mid.dim == 1 and mid.contains((0, 1, 0))
-    comp = complement_in(e1, e12)
-    assert comp.dim == 1
-    assert is_direct_sum(e1, comp, 2) is False  # ambient mismatch guard
+    e2 = span(GF3, 3, [(0, 1, 0)])
+    assert is_direct_sum(e1, e2, 2) is False  # ambient mismatch guard
     assert is_direct_sum(e1, e23, 3)
     assert not is_direct_sum(e12, e23, 3)
 
@@ -123,7 +120,7 @@ def test_decode_matrix_matches_enumeration_order():
 def test_lagrangian_against_direct_oracle():
     # is_lagrangian tests the Gram matrix; the oracle walks every vector pair
     def oracle(W):
-        return all(extended_form(W.field, x, y) == W.field.zero
+        return all(dot(W.field, x, y) == W.field.zero
                    for x in W.vectors() for y in W.vectors())
 
     for n in (2, 3):
@@ -132,8 +129,8 @@ def test_lagrangian_against_direct_oracle():
 
 
 def test_form_values():
-    assert extended_form(GF5, (1, 0, 2), (1, 1, 1)) == 3
-    assert hyperplane_form(GF5, (1, 2), (3, 4)) == (3 + 8) % 5
+    assert dot(GF5, (1, 0, 2), (1, 1, 1)) == 3
+    assert dot(GF5, (1, 2), (3, 4)) == (3 + 8) % 5
     # a self-orthogonal line over GF(5): 1 + 4 = 0
     W = span(GF5, 2, [(1, 2)])
     assert is_lagrangian(W)
@@ -162,7 +159,7 @@ def test_matrix_predicates():
     assert is_skew_symmetric(GF5, S)
     assert not is_skew_symmetric(GF5, ((0, 1), (1, 0)))
     assert trace(GF5, ((2, 1), (1, 4))) == 1
-    assert mat_pow(GF5, S, 2) == ((4, 0), (0, 4))
+    assert mat_mul(GF5, S, S) == ((4, 0), (0, 4))
     assert is_zero_matrix(GF5, mat_mul(GF5, S, ((0,) * 2,) * 2))
 
 
@@ -177,21 +174,13 @@ def test_orthogonal_means_transpose_inverse():
 
 def test_matrix_json_round_trip():
     M = ((Fraction(1, 2), Fraction(-3)), (Fraction(0), Fraction(5)))
-    data = matrix_to_json(Q, M)
-    assert data == ["1/2", "-3", "0", "5"]
+    data = ["1/2", "-3", "0", "5"]
     assert matrix_from_json(Q, data, 2, 2) == M
     # nested and wrapped forms are accepted too
     assert matrix_from_json(Q, [["1/2", "-3"], ["0", "5"]], 2, 2) == M
     assert matrix_from_json(Q, {"entries": data}, 2, 2) == M
     with pytest.raises(DimensionError):
         matrix_from_json(Q, ["1", "2", "3"], 2, 2)
-
-
-def test_subspace_json_round_trip():
-    W = span(GF5, 3, [(1, 2, 0), (0, 0, 1)])
-    data = subspace_to_json(W)
-    W2 = subspace_from_json(GF5, data)
-    assert W2 == W
 
 
 def test_random_matrix_is_seed_deterministic():

@@ -1,0 +1,19 @@
+"""Every name a module exports through `__all__` exists."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import prelie
+
+MODULES = ["prelie"] + sorted(f"prelie.{m.name}"
+                              for m in pkgutil.iter_modules(prelie.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", ())
+               if not hasattr(module, attr)]
+    assert missing == []
