@@ -359,6 +359,38 @@ def _ring_product(ring: PolyRing, A: Algebra, x: list, y: list) -> list:
     return out
 
 
+def _operator_equations(A: Algebra, inner) -> list[list[tuple]]:
+    """The identity M(b_i) M(b_j) = M(inner(ring, cols, i, j)) on every
+    basis pair, as scalar equations in the dim^2 entries of a matrix M.
+
+    Entry (k, m) of M is variable k * dim + m; `cols` are the columns of M
+    as vectors of polynomials, and `inner` returns the vector M is applied
+    to on the right.  There is one equation per pair and coordinate, a list
+    of (coefficient, monomial) terms whose sum must vanish, a monomial being
+    the tuple of its variables.  Equations that vanish identically are left
+    out.
+    """
+    n = A.dim
+    ring = PolyRing(A.field, n * n)
+    rows = [[ring.gen(k * n + m) for m in range(n)] for k in range(n)]
+    cols = [[rows[k][m] for k in range(n)] for m in range(n)]
+    out = []
+    for i in range(n):
+        for j in range(n):
+            lhs = _ring_product(ring, A, cols[i], cols[j])
+            v = inner(ring, cols, i, j)
+            for k in range(n):
+                rhs = ring.zero
+                for m in range(n):
+                    rhs = ring.add(rhs, ring.mul(rows[k][m], v[m]))
+                defect = ring.sub(lhs[k], rhs)
+                if defect:
+                    out.append([(c, tuple(t for t, e in enumerate(exps)
+                                          for _ in range(e)))
+                                for exps, c in defect.items()])
+    return out
+
+
 def _symbolic_defects(A: Algebra, kind: str):
     n = A.dim
     if kind == "flexible":

@@ -48,8 +48,11 @@ def _format_subspace(W) -> dict:
 def _emit(args, payload: dict) -> None:
     text = json.dumps(payload, indent=2)
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}") from exc
     print(text)
 
 

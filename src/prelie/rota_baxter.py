@@ -24,7 +24,8 @@ symmetry module.
 from __future__ import annotations
 
 from . import linalg as la
-from .algebras import Algebra, _check_apex, _check_shape, is_subalgebra
+from .algebras import (Algebra, _check_apex, _check_shape,
+                       _operator_equations, _ring_product, is_subalgebra)
 from .errors import CapError, DimensionError, FalsificationError
 from .fields import Field, FieldError, Scalar
 from .linalg import Matrix, Subspace
@@ -50,10 +51,6 @@ def is_rb_operator(A: Algebra, R: Matrix, weight: Scalar) -> CheckReport:
     _check_shape(A, R)
     witness = _rb_failure(A, R, weight)
     return CheckReport(witness is None, witness=witness)
-
-
-def _is_rb(A: Algebra, R: Matrix, weight: Scalar) -> bool:
-    return _rb_failure(A, R, weight) is None
 
 
 def _rb_failure(A: Algebra, R: Matrix,
@@ -331,9 +328,34 @@ def square_isotropy_check(A: Algebra, R: Matrix, weight: Scalar,
 
 def enumerate_rb_operators(A: Algebra, weight: Scalar, cap: int = 10 ** 7,
                            workers: int = 1) -> list[Matrix]:
-    """All weight-w operators on A over a finite field, by exhaustive scan
-    of the matrix space, canonical enumeration order."""
-    return scan_matrices(A, _is_rb, (weight,), cap=cap, workers=workers)
+    """All weight-w operators on A over a finite field, in canonical
+    enumeration order.
+
+    The set is decided by an exact pruned search over the scalar equations
+    of the defining identity (see `parallel.scan_matrices`); `cap` bounds
+    the size q^(dim^2) of the matrix space all the same.
+    """
+    return scan_matrices(A, _rb_system, (weight,), cap=cap, workers=workers)
+
+
+def _rb_system(A: Algebra, weight: Scalar) -> tuple[list, None]:
+    return _rb_equations(A, weight), None
+
+
+def _rb_equations(A: Algebra, weight: Scalar) -> list[list[tuple]]:
+    """The defining identity R(b_i) R(b_j) = R(R(b_i) b_j + b_i R(b_j)
+    + w b_i b_j) as scalar equations in the entries of R, one for each
+    basis pair and coordinate, built from the structure constants."""
+    F = A.field
+
+    def inner(ring, cols, i, j):
+        const = lambda vec: [ring.const(c) for c in vec]
+        parts = (_ring_product(ring, A, cols[i], const(A.basis(j))),
+                 _ring_product(ring, A, const(A.basis(i)), cols[j]),
+                 const(la.vscale(F, weight, A.basis_product(i, j))))
+        return [ring.add(ring.add(x, y), z) for x, y, z in zip(*parts)]
+
+    return _operator_equations(A, inner)
 
 
 def rb_index(A: Algebra, weight: Scalar,

@@ -194,9 +194,7 @@ def _check_automorphisms(config: RunConfig) -> tuple[bool, str | None]:
         ran += 1
         if not rep.ok:
             return False, f"group mismatch at {F!r} n={n}: {rep.details}"
-    if ran == 0:
-        return False, "no finite field small enough for the exhaustive scan"
-    return True, None
+    return _covered(ran)
 
 
 def _check_residuals_symmetry(config: RunConfig) -> tuple[bool, str | None]:
@@ -242,8 +240,18 @@ def _operator_sets(config: RunConfig):
             yield F, n, w, A, ops
 
 
+def _covered(ran: int) -> tuple[bool, str | None]:
+    """The verdict of a scan-backed check that found no violation in `ran`
+    cases: a check that examined nothing does not pass."""
+    if ran == 0:
+        return False, "no finite field small enough for the exhaustive scan"
+    return True, None
+
+
 def _check_quadratic_isotropy(config: RunConfig) -> tuple[bool, str | None]:
+    ran = 0
     for F, n, w, A, ops in _operator_sets(config):
+        ran += 1
         opset = set(ops)
         zero = la.zero_matrix(F, n, n)
         minus = la.mat_scale(F, F.neg(w), la.identity_matrix(F, n))
@@ -257,35 +265,41 @@ def _check_quadratic_isotropy(config: RunConfig) -> tuple[bool, str | None]:
                     f"{rep.details}"
             if reflect_operator(F, R, w) not in opset:
                 return False, f"reflection leaves the operator set: {R}"
-    return True, None
+    return _covered(ran)
 
 
 def _check_case_analysis(config: RunConfig) -> tuple[bool, str | None]:
+    ran = 0
     for F, n, w, A, ops in _operator_sets(config):
+        ran += 1
         for R in ops:
             rep = classify_case(A, R, w)  # raises on broken invariants
             if rep.details["case"] == 1 and n % 2 == 1 and not F.is_zero(w):
                 return False, f"odd-dimensional case-1 operator at " \
                     f"{F!r} n={n} w={F.format(w)}: {R}"
-    return True, None
+    return _covered(ran)
 
 
 def _check_splitting(config: RunConfig) -> tuple[bool, str | None]:
+    ran = 0
     for F, n, w, A, ops in _operator_sets(config):
         if F.is_zero(w):
             continue
+        ran += 1
         for R in ops:
             rep = splitting_certificate(A, R, w)
             if not rep.ok:
                 return False, f"certificate fails at {F!r} n={n} " \
                     f"w={F.format(w)}: {R} {rep.details}"
-    return True, None
+    return _covered(ran)
 
 
 def _check_decompositions(config: RunConfig) -> tuple[bool, str | None]:
+    ran = 0
     for F in _finite_odd(_resolve_fields(config)):
         if F.order > 5:
             continue
+        ran += 1
         A = apex_algebra(F, 2)
         w = F.one
         for rec in enumerate_decompositions(A, cap=config.cap):
@@ -294,11 +308,13 @@ def _check_decompositions(config: RunConfig) -> tuple[bool, str | None]:
                 return False, f"decomposition over {F!r} builds a " \
                     f"non-operator: {rec['part1'].basis} + " \
                     f"{rec['part2'].basis}"
-    return True, None
+    return _covered(ran)
 
 
 def _check_index(config: RunConfig) -> tuple[bool, str | None]:
+    ran = 0
     for F, n, w, A, ops in _operator_sets(config):
+        ran += 1
         idx = rb_index(A, w, ops)
         if idx is None or idx > 2:
             return False, f"index {idx} at {F!r} n={n} w={F.format(w)}"
@@ -306,7 +322,7 @@ def _check_index(config: RunConfig) -> tuple[bool, str | None]:
         if (idx == 1) != trivial_only:
             return False, f"index {idx} vs trivial-only={trivial_only} " \
                 f"at {F!r} n={n} w={F.format(w)}"
-    return True, None
+    return _covered(ran)
 
 
 def _check_rational(config: RunConfig) -> tuple[bool, str | None]:

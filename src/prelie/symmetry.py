@@ -18,7 +18,8 @@ of the defect, `_s(...)` its apex coordinate.
 from __future__ import annotations
 
 from . import linalg as la
-from .algebras import Algebra, _check_apex, _check_shape, is_apex_algebra
+from .algebras import (Algebra, _check_apex, _check_shape,
+                       _operator_equations, is_apex_algebra)
 from .errors import DimensionError
 from .fields import Field
 from .linalg import Matrix, Subspace
@@ -51,11 +52,6 @@ def is_automorphism(A: Algebra, phi: Matrix) -> CheckReport:
     return CheckReport(multiplicative and invertible, witness=witness,
                        details={"multiplicative": multiplicative,
                                 "invertible": invertible})
-
-
-def _is_automorphism(A: Algebra, phi: Matrix) -> bool:
-    return _product_failure(A, phi) is None and \
-        la.is_invertible(A.field, phi)
 
 
 def _product_failure(A: Algebra, phi: Matrix) -> tuple[int, int] | None:
@@ -257,9 +253,27 @@ def enumerate_orthogonal(F: Field, m: int, cap: int = 10 ** 7) -> list[Matrix]:
 
 def enumerate_automorphisms(A: Algebra, cap: int = 10 ** 7,
                             workers: int = 1) -> list[Matrix]:
-    """All automorphisms of A over a finite field, by exhaustive scan of the
-    full matrix space, in canonical enumeration order."""
-    return scan_matrices(A, _is_automorphism, cap=cap, workers=workers)
+    """All automorphisms of A over a finite field, in canonical enumeration
+    order.
+
+    The set is decided by an exact pruned search over the scalar equations
+    of multiplicativity, with invertibility tested on each solution (see
+    `parallel.scan_matrices`); `cap` bounds the size q^(dim^2) of the
+    matrix space all the same.
+    """
+    return scan_matrices(A, _automorphism_system, cap=cap, workers=workers)
+
+
+def _automorphism_system(A: Algebra) -> tuple[list, object]:
+    return _product_equations(A), la.is_invertible
+
+
+def _product_equations(A: Algebra) -> list[list[tuple]]:
+    """phi(b_i) phi(b_j) = phi(b_i b_j) as scalar equations in the entries
+    of phi, one for each basis pair and coordinate, built from the
+    structure constants."""
+    return _operator_equations(A, lambda ring, cols, i, j: [
+        ring.const(c) for c in A.basis_product(i, j)])
 
 
 # -------------------------------------------------- classification checks

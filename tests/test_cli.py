@@ -257,6 +257,14 @@ def test_rb_enumerate_single_weight_out_file(capsys, tmp_path):
     assert [["0", "0"], ["2", "4"]] in ops
 
 
+def test_rb_enumerate_beyond_brute_force_reach(capsys):
+    code, rep = run_json(capsys, "rb-enumerate", "--n", "3", "--field",
+                         "gf5", "--weight", "all")
+    assert code == 0
+    counts = [rep["weights"][w]["count"] for w in "01234"]
+    assert counts == [25, 62, 62, 62, 62]
+
+
 def test_rb_index_values(capsys):
     code, rep = run_json(capsys, "rb-index", "--family", "in", "--n", "2",
                          "--field", "gf5", "--weight", "1")
@@ -336,6 +344,20 @@ def test_verify_theorems_worker_count_does_not_change_verdicts(capsys):
     assert stripped_one == stripped_two
 
 
+@pytest.mark.parametrize("suite,uncovered", [
+    ("cor", ["kernel-splitting", "decomposition-operators", "index-bound"]),
+    ("t2", ["quadratic-isotropy", "case-analysis"]),
+])
+def test_scan_backed_checks_without_a_scan_fail(capsys, suite, uncovered):
+    code, rep = run_json(capsys, "verify-theorems", "--suite", suite,
+                         "--fields", "q", "--max-n", "3")
+    assert code == 1
+    failed = [c for c in rep["checks"] if not c["ok"]]
+    assert [c["name"] for c in failed] == uncovered
+    for check in failed:
+        assert "no finite field small enough" in check["witness"]
+
+
 def test_verify_theorems_out_file(capsys, tmp_path):
     out = tmp_path / "report.json"
     code, printed, _ = run_cli(capsys, "verify-theorems", "--suite",
@@ -352,6 +374,16 @@ def test_unknown_field_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "gf11x" in err
+
+
+def test_unwritable_out_path_is_usage_error(capsys, tmp_path):
+    path = str(tmp_path / "missing" / "x.json")
+    code, out, err = run_cli(capsys, "build", "--n", "2", "--field", "gf5",
+                             "--out", path)
+    assert code == 2
+    assert out == ""
+    assert path in err
+    assert "Traceback" not in err
 
 
 def test_char_two_without_escape_is_usage_error(capsys):
