@@ -14,12 +14,23 @@ each chunk function receives (common_args..., start, stop) and returns a
 list, and results are concatenated in chunk order.  The scan then sorts its
 solutions into canonical order, so the output is identical for any worker
 count.
+
+A process runs at most one process pool.  It is started by the first
+`run_chunks` call with more than one worker and reused by every later one,
+since a pruned scan often takes less time than starting a pool.  A call
+asking for another pool size replaces it; a broken pool is dropped, so the
+next call starts a fresh one; a forked child starts a pool of its own; the
+pool is shut down when the interpreter exits; and its workers exit when the
+process that started them dies without stopping them.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import Pipe, util
 
 from . import linalg as la
 from .algebras import Algebra
@@ -54,16 +65,98 @@ def _pieces(processes: int) -> int:
     return processes * 4 if processes > 1 else 1
 
 
+# The process pool of this process, as (size, executor, finalizer, alive),
+# or None before the first multi-worker call; `alive` is the write end of
+# the pipe its workers watch.  Threads take turns on it.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _shared_pool(size: int) -> ProcessPoolExecutor:
+    """The pool of `size` processes, started on first use."""
+    global _pool
+    if _pool is not None and _pool[0] != size:
+        _close_pool()
+    if _pool is None:
+        watched, alive = Pipe(duplex=False)
+        executor = ProcessPoolExecutor(max_workers=size,
+                                       initializer=_exit_with_parent,
+                                       initargs=(watched,))
+        # Runs at interpreter exit, and also when a multiprocessing child
+        # exits, which skips atexit; it does nothing in any other process.
+        # The priority is multiprocessing.Pool's: above the 10 at which the
+        # pool's own queues stop feeding the workers their stop signals.
+        finalizer = util.Finalize(executor, _shut_down,
+                                  (executor, watched, alive), exitpriority=15)
+        _pool = (size, executor, finalizer, alive)
+    return _pool[1]
+
+
+def _shut_down(executor, watched, alive) -> None:
+    executor.shutdown()
+    watched.close()
+    alive.close()
+
+
+def _exit_with_parent(watched) -> None:
+    """Pool worker start-up: exit once the process that started the pool
+    is gone, for example killed by a signal that left it no time to stop
+    its pool, so that no idle worker is left waiting for work for ever.
+    Only that process holds the write end of `watched` (forked children
+    close it), so the pipe reads as closed exactly when it has exited,
+    under every start method; the worker's parent is no guide, since under
+    forkserver it is the fork server, which outlives its children."""
+    def watch():
+        watched.poll(None)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _close_pool() -> None:
+    """Shut the pool down and forget it; the next call starts another."""
+    global _pool
+    if _pool is not None:
+        finalizer = _pool[2]
+        _pool = None
+        finalizer()
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool is not this process's to use,
+    and its lock may have been held by a thread the child does not have.
+    The child's copy of the watched pipe's write end is closed, or the
+    workers would wait for the child as well as the parent."""
+    global _pool, _pool_lock
+    if _pool is not None:
+        _pool[3].close()
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
 def run_chunks(chunk_fn, common_args: tuple, total: int, workers: int = 1) -> list:
     """Apply chunk_fn(common_args + (start, stop)) over a partition of
-    range(total), in order, optionally across processes."""
+    range(total), in order, optionally across processes.
+
+    More than one worker runs the chunks on this process's one pool, which
+    the first such call starts and later calls reuse.  chunk_fn travels to
+    the workers by name, so it must be importable: the workers do not see
+    a function that `__main__` defines after they started.  If the pool
+    breaks, for example because a worker was killed, the call raises
+    BrokenProcessPool and the next call starts a fresh pool."""
     workers = pool_size(workers)
     args = [common_args + r for r in split_ranges(total, _pieces(workers))]
     if workers == 1:
         chunks = [chunk_fn(a) for a in args]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(chunk_fn, args))
+        with _pool_lock:
+            try:
+                chunks = list(_shared_pool(workers).map(chunk_fn, args))
+            except BrokenProcessPool:
+                _close_pool()
+                raise
     return [item for chunk in chunks for item in chunk]
 
 

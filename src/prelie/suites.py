@@ -240,6 +240,21 @@ def _operator_sets(config: RunConfig):
             yield F, n, w, A, ops
 
 
+class _OperatorSets:
+    """The (F, n, w, A, ops) of `_operator_sets` for one suite run: scanned
+    when first iterated, then shared by every check of the run that reads
+    them."""
+
+    def __init__(self, config: RunConfig):
+        self.config = config
+        self._sets = None
+
+    def __iter__(self):
+        if self._sets is None:
+            self._sets = list(_operator_sets(self.config))
+        return iter(self._sets)
+
+
 def _covered(ran: int) -> tuple[bool, str | None]:
     """The verdict of a scan-backed check that found no violation in `ran`
     cases: a check that examined nothing does not pass."""
@@ -248,9 +263,9 @@ def _covered(ran: int) -> tuple[bool, str | None]:
     return True, None
 
 
-def _check_quadratic_isotropy(config: RunConfig) -> tuple[bool, str | None]:
+def _check_quadratic_isotropy(sets: _OperatorSets) -> tuple[bool, str | None]:
     ran = 0
-    for F, n, w, A, ops in _operator_sets(config):
+    for F, n, w, A, ops in sets:
         ran += 1
         opset = set(ops)
         zero = la.zero_matrix(F, n, n)
@@ -268,9 +283,9 @@ def _check_quadratic_isotropy(config: RunConfig) -> tuple[bool, str | None]:
     return _covered(ran)
 
 
-def _check_case_analysis(config: RunConfig) -> tuple[bool, str | None]:
+def _check_case_analysis(sets: _OperatorSets) -> tuple[bool, str | None]:
     ran = 0
-    for F, n, w, A, ops in _operator_sets(config):
+    for F, n, w, A, ops in sets:
         ran += 1
         for R in ops:
             rep = classify_case(A, R, w)  # raises on broken invariants
@@ -280,9 +295,9 @@ def _check_case_analysis(config: RunConfig) -> tuple[bool, str | None]:
     return _covered(ran)
 
 
-def _check_splitting(config: RunConfig) -> tuple[bool, str | None]:
+def _check_splitting(sets: _OperatorSets) -> tuple[bool, str | None]:
     ran = 0
-    for F, n, w, A, ops in _operator_sets(config):
+    for F, n, w, A, ops in sets:
         if F.is_zero(w):
             continue
         ran += 1
@@ -311,9 +326,9 @@ def _check_decompositions(config: RunConfig) -> tuple[bool, str | None]:
     return _covered(ran)
 
 
-def _check_index(config: RunConfig) -> tuple[bool, str | None]:
+def _check_index(sets: _OperatorSets) -> tuple[bool, str | None]:
     ran = 0
-    for F, n, w, A, ops in _operator_sets(config):
+    for F, n, w, A, ops in sets:
         ran += 1
         idx = rb_index(A, w, ops)
         if idx is None or idx > 2:
@@ -566,12 +581,18 @@ _CHECKS = {
 }
 
 
+# The checks that read the run's shared operator sets, not its config.
+_ON_OPERATOR_SETS = {_check_quadratic_isotropy, _check_case_analysis,
+                     _check_splitting, _check_index}
+
+
 def run_suite(suite: str, config: RunConfig | None = None) -> dict:
     """Run one suite (or "all") and return the report dict."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from "
                          f"{', '.join(SUITES)}")
     config = config or RunConfig()
+    operator_sets = _OperatorSets(config)
     names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
     records: list[CheckRecord] = []
     started = time.perf_counter()
@@ -579,7 +600,8 @@ def run_suite(suite: str, config: RunConfig | None = None) -> dict:
         for name, claim, fn in _CHECKS[s]:
             t0 = time.perf_counter()
             try:
-                ok, witness = fn(config)
+                ok, witness = fn(operator_sets if fn in _ON_OPERATOR_SETS
+                                 else config)
             except Exception as exc:  # honest red: a crash is a failure
                 ok, witness = False, f"{type(exc).__name__}: {exc}"
             records.append(CheckRecord(name, claim, ok, witness,

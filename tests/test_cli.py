@@ -344,6 +344,34 @@ def test_verify_theorems_worker_count_does_not_change_verdicts(capsys):
     assert stripped_one == stripped_two
 
 
+def test_suite_run_scans_each_operator_set_once(capsys, monkeypatch):
+    from prelie import suites
+    scan, calls = suites.enumerate_rb_operators, []
+
+    def counting_scan(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "enumerate_rb_operators", counting_scan)
+    # quadratic-isotropy and case-analysis read the three GF(3) n=2 sets,
+    # once per run: a second run in the same process scans them again.
+    for runs in (1, 2):
+        code, rep = run_json(capsys, "verify-theorems", "--suite", "t2",
+                             "--max-n", "2", "--fields", "gf3")
+        assert code == 0 and rep["ok"]
+        assert len(calls) == 3 * runs
+
+
+@pytest.mark.parametrize("argv", [
+    ("rb-enumerate", "--n", "3", "--field", "gf3", "--weight", "all"),
+    ("automorphisms", "--n", "3", "--field", "gf3"),
+])
+def test_worker_count_does_not_change_multi_scan_commands(capsys, argv):
+    _, one = run_json(capsys, *argv, "--workers", "1")
+    _, two = run_json(capsys, *argv, "--workers", "2")
+    assert strip_elapsed(one) == strip_elapsed(two)
+
+
 @pytest.mark.parametrize("suite,uncovered", [
     ("cor", ["kernel-splitting", "decomposition-operators", "index-bound"]),
     ("t2", ["quadratic-isotropy", "case-analysis"]),

@@ -6,6 +6,15 @@ admits a wrong one.  Beyond the reach of that filter, automorphism counts
 are held to the closed-form order of the orthogonal group.
 """
 
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -117,6 +126,259 @@ def test_worker_count_does_not_change_the_scans():
         enumerate_rb_operators(A9, w, workers=1)
     assert enumerate_automorphisms(A9, workers=2) == \
         enumerate_automorphisms(A9, workers=1)
+
+
+# ----------------------------------------------------------- the pool
+
+GF3 = make_field("gf3")
+A3 = apex_algebra(GF3, 3)
+
+
+def worker_ids(args) -> list:
+    """A chunk function reporting the process that ran it and its parent."""
+    return [(os.getpid(), os.getppid())]
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """No pool before or after the test, and CPUs to start one on."""
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 4)
+    parallel._close_pool()
+    yield
+    parallel._close_pool()
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The pools started during the test, in order."""
+    pools = []
+
+    class CountingExecutor(parallel.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingExecutor)
+    return pools
+
+
+def test_scans_share_one_pool(fresh_pool, started):
+    at_one = [enumerate_rb_operators(A3, w) for w in GF3.elements()]
+    assert started == []
+    at_two = [enumerate_rb_operators(A3, w, workers=2)
+              for w in GF3.elements()]
+    assert len(started) == 1
+    assert at_two == at_one
+    # Another size replaces the pool and shuts the old one down.
+    assert enumerate_rb_operators(A3, 1, workers=3) == at_one[1]
+    assert len(started) == 2
+    with pytest.raises(RuntimeError):
+        started[0].submit(worker_ids, ())
+
+
+def test_threads_take_turns_on_the_one_pool(fresh_pool, started):
+    expected = [enumerate_rb_operators(A3, w) for w in GF3.elements()]
+    results = {}
+
+    def scan(t):
+        results[t] = [enumerate_rb_operators(A3, w, workers=2)
+                      for w in GF3.elements()]
+
+    threads = [threading.Thread(target=scan, args=(t,)) for t in range(6)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(120)
+        assert not thread.is_alive()
+    assert results == {t: expected for t in range(6)}
+    assert len(started) == 1
+
+
+def test_a_broken_pool_is_replaced_by_the_next_scan(fresh_pool):
+    expected = enumerate_rb_operators(A3, 1)
+    (worker, _), = parallel.run_chunks(worker_ids, (), 1, workers=2)
+    os.kill(worker, signal.SIGKILL)
+    with pytest.raises(BrokenProcessPool):
+        enumerate_rb_operators(A3, 1, workers=2)
+    assert enumerate_rb_operators(A3, 1, workers=2) == expected
+
+
+def scan_in_child(conn):
+    conn.send((enumerate_rb_operators(A3, 1, workers=2),
+               parallel.run_chunks(worker_ids, (), 4, workers=2)))
+    conn.close()
+
+
+def wait_for_exit(pid, timeout=60.0) -> int:
+    """The exit status of child `pid`, killing it after `timeout` s."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return status
+        time.sleep(0.05)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    pytest.fail(f"child {pid} did not exit within {timeout} s")
+
+
+def test_a_forked_child_starts_a_pool_of_its_own(fresh_pool):
+    expected = enumerate_rb_operators(A3, 1, workers=2)
+    reader, writer = multiprocessing.Pipe(duplex=False)
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            scan_in_child(writer)
+            parallel._close_pool()
+            status = 0
+        finally:
+            os._exit(status)
+    writer.close()
+    assert wait_for_exit(pid) == 0
+    found, workers = reader.recv()
+    assert found == expected
+    assert not {w for w, _ in workers} & set(parallel._pool[1]._processes)
+
+
+def test_a_multiprocessing_child_scans_and_exits(fresh_pool):
+    """The child's pool must be shut down when it exits, or the child
+    would wait for the pool's workers for ever."""
+    expected = enumerate_rb_operators(A3, 1, workers=2)
+    reader, writer = multiprocessing.Pipe(duplex=False)
+    child = multiprocessing.get_context("fork").Process(
+        target=scan_in_child, args=(writer,))
+    child.start()
+    writer.close()
+    sent = reader.poll(60)
+    child.join(60)
+    if not sent or child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the child did not finish its scan and exit")
+    assert child.exitcode == 0
+    found, workers = reader.recv()
+    assert found == expected
+    assert not {w for w, _ in workers} & set(parallel._pool[1]._processes)
+
+
+def running(pid) -> bool:
+    """Whether process `pid` exists and has not exited (a zombie has)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+POOL_SCRIPT = """
+import multiprocessing, os, sys, time
+from prelie import parallel
+from prelie.algebras import apex_algebra
+from prelie.fields import make_field
+from prelie.rota_baxter import enumerate_rb_operators
+
+
+def parents(args):
+    time.sleep(0.01)
+    return [os.getppid()]
+
+
+if __name__ == "__main__":
+    method, then = sys.argv[1:]
+    multiprocessing.set_start_method(method)
+    parallel.os.cpu_count = lambda: 2
+    print(repr(enumerate_rb_operators(apex_algebra(make_field("gf3"), 3), 1,
+                                      workers=2)))
+    print(*parallel._pool[1]._processes)
+    # The forkserver, if the workers were forked from one.
+    print(*set(parallel.run_chunks(parents, (), 8, 2)) - {os.getpid()},
+          flush=True)
+    if then == "wait":
+        # A forked child that outlives the script, as a command's own
+        # children may: the workers must not wait for it too.
+        child = os.fork()
+        if child == 0:
+            time.sleep(60)
+            os._exit(0)
+        print(child, flush=True)
+        time.sleep(60)
+"""
+
+START_METHODS = ["fork", "spawn", "forkserver"]
+
+
+def start_pool_script(tmp_path, method, then):
+    """The script above, run in a new interpreter: it prints a scan at two
+    workers, the pids of its pool's workers and those of their parent if
+    that is not the script, then exits, or forks a child, prints its pid
+    and waits."""
+    script = tmp_path / "pool_script.py"
+    script.write_text(POOL_SCRIPT)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    return subprocess.Popen([sys.executable, str(script), method, then],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.PIPE, text=True)
+
+
+def read_pool_script(proc):
+    found = proc.stdout.readline().strip()
+    workers, helpers = ([int(pid) for pid in proc.stdout.readline().split()]
+                        for _ in range(2))
+    return found, workers, helpers
+
+
+def workers_gone(workers, timeout) -> bool:
+    """Whether every pid in `workers` exits within `timeout` s; any left
+    running after that are killed."""
+    deadline = time.monotonic() + timeout
+    while any(running(pid) for pid in workers):
+        if time.monotonic() > deadline:
+            for pid in workers:
+                if running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            return False
+        time.sleep(0.05)
+    return True
+
+
+@pytest.mark.parametrize("method", START_METHODS)
+def test_no_pool_worker_outlives_the_interpreter(tmp_path, method):
+    proc = start_pool_script(tmp_path, method, "exit")
+    found, workers, helpers = read_pool_script(proc)
+    assert proc.wait(timeout=60) == 0
+    proc.stdout.close()
+    assert found == repr(enumerate_rb_operators(A3, 1))
+    assert workers
+    assert workers_gone(workers, timeout=0)
+    assert workers_gone(helpers, timeout=10)
+
+
+@pytest.mark.parametrize("method", START_METHODS)
+def test_pool_workers_exit_when_their_parent_is_killed(tmp_path, method):
+    proc = start_pool_script(tmp_path, method, "wait")
+    try:
+        found, workers, helpers = read_pool_script(proc)
+        child = [int(pid) for pid in proc.stdout.readline().split()]
+    finally:
+        # Not communicate(): workers left running would hold stdout open.
+        proc.kill()
+        proc.wait(timeout=60)
+        proc.stdout.close()
+    try:
+        assert found == repr(enumerate_rb_operators(A3, 1))
+        assert workers and child
+        assert workers_gone(workers, timeout=10)
+    finally:
+        for pid in child:
+            os.kill(pid, signal.SIGKILL)
+    # A fork server lives as long as any process it forked.
+    assert workers_gone(helpers, timeout=10)
 
 
 # ------------------------------------------------ beyond brute-force reach
