@@ -305,14 +305,19 @@ def _json_safe(F: Field, value):
 
 # ------------------------------------------------------------------- parser
 
-def _worker_count(text: str) -> int:
-    try:
-        workers = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
-    return workers
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than `least`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {value}")
+        return value
+    return parse
 
 
 def _add_algebra_flags(p: argparse.ArgumentParser) -> None:
@@ -333,7 +338,7 @@ def _add_algebra_flags(p: argparse.ArgumentParser) -> None:
                                     "family ex1")
     p.add_argument("--cap", type=int, default=10 ** 7,
                    help="abort enumerations larger than this")
-    p.add_argument("--workers", type=_worker_count, default=1,
+    p.add_argument("--workers", type=_at_least(1), default=1,
                    help="processes for exhaustive scans (at least 1; "
                         "capped at the CPU count)")
     p.add_argument("--seed", type=int, default=0,
@@ -409,9 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--fields", default="q,qi,gf3,gf5",
                    help="comma-separated field specs")
-    p.add_argument("--max-n", type=int, default=4, dest="max_n")
+    p.add_argument("--max-n", type=_at_least(2), default=4, dest="max_n")
     p.add_argument("--cap", type=int, default=10 ** 7)
-    p.add_argument("--workers", type=_worker_count, default=1)
+    p.add_argument("--workers", type=_at_least(1), default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="also write the report to this file")
     p.set_defaults(fn=cmd_verify_theorems)

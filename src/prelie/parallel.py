@@ -3,25 +3,30 @@
 `scan_matrices` finds every dim x dim matrix over a finite field that
 solves a system of scalar equations in its entries, such as the defining
 identity of Rota-Baxter operators or of automorphisms.  It is an exact
-pruned search, not a loop over all q^(dim^2) matrices: entries are assigned
-one at a time in a greedy order, and each equation is checked as soon as
-its last variable is set, so no partial matrix that breaks an equation is
-extended.
+search with forward checking (Haralick and Elliott, 1980), not a loop over
+all q^(dim^2) matrices.  Entries are assigned one at a time in a greedy
+order, as indices of the field's scalars, with arithmetic by table.  Once
+the entries before an equation's last one are set, the equation is a
+polynomial in that entry: a linear one forces its value, and only one of
+higher degree has every value tried, so no partial matrix that breaks an
+equation is extended.
 
-The search is split over the assignments of its first few entries.
-`run_chunks` partitions a range of such indices into contiguous ranges;
-each chunk function receives (common_args..., start, stop) and returns a
-list, and results are concatenated in chunk order.  The scan then sorts its
-solutions into canonical order, so the output is identical for any worker
-count.
+The search is split over the assignments of its first few entries, its
+prefixes.  A scan searches them in order in the calling process: all of
+them at one worker, and at more than one until its search nodes exceed
+SCAN_BUDGET, when it hands the rest to `run_chunks`.  So a scan that fits
+the budget never touches the pool.  `run_chunks` partitions a range of
+indices into contiguous ranges; each chunk function receives
+(common_args..., start, stop) and returns a list, and results are
+concatenated in chunk order.  The scan then sorts its solutions into
+canonical order, so the output is identical for any worker count.
 
 A process runs at most one process pool.  It is started by the first
-`run_chunks` call with more than one worker and reused by every later one,
-since a pruned scan often takes less time than starting a pool.  A call
-asking for another pool size replaces it; a broken pool is dropped, so the
-next call starts a fresh one; a forked child starts a pool of its own; the
-pool is shut down when the interpreter exits; and its workers exit when the
-process that started them dies without stopping them.
+`run_chunks` call with more than one worker and reused by every later one.
+A call asking for another pool size replaces it; a broken pool is dropped,
+so the next call starts a fresh one; a forked child starts a pool of its
+own; the pool is shut down when the interpreter exits; and its workers exit
+when the process that started them dies without stopping them.
 """
 
 from __future__ import annotations
@@ -135,6 +140,17 @@ def _forget_pool() -> None:
 
 os.register_at_fork(after_in_child=_forget_pool)
 
+# Search nodes a scan at more than one worker visits in the calling process
+# before it hands the rest of its prefixes to the pool.  Measured on a
+# 2-core host: a node costs 2-4 us, a round trip on the warm pool 0.8 ms and
+# its first start 15 ms.  Every operator and automorphism scan of GF(3) n=3
+# and of n=2 up to GF(11) takes under 400 nodes, so it never touches the
+# pool; a larger scan hands off at the end of the prefix in which it passes
+# the budget.  `rb-enumerate --n 4 --field gf3 --weight all` (17,580 to
+# 34,237 nodes a weight) took 0.26-0.29 s at two workers with budgets from
+# 0 to 10,000 nodes and 0.36 s, its time at one worker, from 20,000 up.
+SCAN_BUDGET = 5_000
+
 
 def run_chunks(chunk_fn, common_args: tuple, total: int, workers: int = 1) -> list:
     """Apply chunk_fn(common_args + (start, stop)) over a partition of
@@ -169,7 +185,8 @@ def scan_matrices(A: Algebra, system, params: tuple = (),
     (entry (k, m) is variable k * dim + m; an equation is a list of
     (coefficient, monomial) terms summing to zero, a monomial the tuple of
     its variables) and a leaf test leaf(F, M) that every solution must
-    also pass, or None.  `cap` bounds q^(dim^2), the size of the space.
+    also pass, or None.  `cap` bounds q^(dim^2), the size of the space,
+    and q^2, the size of the field's arithmetic tables.
     """
     F = A.field
     if not F.is_finite:
@@ -177,21 +194,24 @@ def scan_matrices(A: Algebra, system, params: tuple = (),
     total = F.order ** (A.dim * A.dim)
     if total > cap:
         raise CapError(f"{total} candidate matrices exceed cap {cap}")
+    if F.order ** 2 > cap:
+        raise CapError(f"{F.order ** 2} field table entries exceed cap {cap}")
     equations, leaf = system(A, *params)
     order = _search_order(A.dim * A.dim, equations)
-    depth = {v: d for d, v in enumerate(order)}
-    checks = [[] for _ in order]
-    for eq in equations:
-        checks[max((depth[v] for _, mono in eq for v in mono),
-                   default=0)].append(eq)
+    processes = pool_size(workers)
     # Enough prefix assignments to give every chunk at least one.
     prefix = 1
-    while (prefix < len(order)
-           and F.order ** prefix < _pieces(pool_size(workers))):
+    while prefix < len(order) and F.order ** prefix < _pieces(processes):
         prefix += 1
-    found = run_chunks(_scan_chunk, (F.descriptor(), A.dim, order, checks,
-                                     leaf, prefix),
-                       F.order ** prefix, workers)
+    slots = [order.index(v) for v in range(len(order))]  # entry -> depth
+    kernel = (F.descriptor(), A.dim, slots, _tables(F),
+              _compile(F, equations, order), leaf, prefix)
+    prefixes = F.order ** prefix
+    found, resume = _search(kernel, 0, prefixes,
+                            SCAN_BUDGET if processes > 1 else None)
+    if resume < prefixes:
+        found += run_chunks(_scan_chunk, (kernel, resume), prefixes - resume,
+                            workers)
     return sorted(found, key=lambda M: la.matrix_sort_key(F, M))
 
 
@@ -214,42 +234,134 @@ def _search_order(nvars: int, equations: list) -> list[int]:
     return order
 
 
-def _holds(F, eq, values) -> bool:
-    s = F.zero
-    for c, mono in eq:
-        for v in mono:
-            c = F.mul(c, values[v])
-        s = F.add(s, c)
-    return s == F.zero
+def _tables(F) -> tuple:
+    """add, mul, neg and inv of F on the indices of its scalars in
+    F.elements() order, in which zero is index 0; inv[0] is 0."""
+    elems = list(F.elements())
+    index = {x: i for i, x in enumerate(elems)}
+    add = [[index[F.add(a, b)] for b in elems] for a in elems]
+    mul = [[index[F.mul(a, b)] for b in elems] for a in elems]
+    neg = [index[F.neg(a)] for a in elems]
+    inv = [0] + [index[F.inv(a)] for a in elems[1:]]
+    return add, mul, neg, inv
+
+
+def _compile(F, equations: list, order: list[int]) -> list[list[tuple]]:
+    """The equations in plain ints, by the depth of their last variable in
+    `order`.  Each is a polynomial in that variable x: a tuple whose k-th
+    item holds the terms of the coefficient of x^k, each term a coefficient
+    index and the depths of its other variables."""
+    index = {x: i for i, x in enumerate(F.elements())}
+    depth = {v: d for d, v in enumerate(order)}
+    plan = [[] for _ in order]
+    for eq in equations:
+        terms = [(index[c], sorted(depth[v] for v in mono)) for c, mono in eq]
+        last = max((m[-1] for _, m in terms if m), default=0)
+        poly = [[] for _ in range(1 + max(m.count(last) for _, m in terms))]
+        for c, m in terms:
+            k = m.count(last)
+            poly[k].append((c, tuple(m[:len(m) - k])))
+        plan[last].append(tuple(map(tuple, poly)))
+    return plan
 
 
 def _scan_chunk(args) -> list:
-    """Backtracking over the entries in `order`, from each prefix
-    assignment index in [start, stop); checks[d] holds the equations whose
-    last variable is order[d]."""
-    field_desc, n, order, checks, leaf, prefix, start, stop = args
+    """The solutions from prefix indices offset + [start, stop)."""
+    kernel, offset, start, stop = args
+    return _search(kernel, offset + start, offset + stop)[0]
+
+
+def _search(kernel, start: int, stop: int, budget: int | None = None):
+    """Backtracking with forward checking over the variables in depth
+    order, from each prefix index in [start, stop); a prefix index has the
+    values of the first `prefix` variables as its base-q digits.
+
+    At each depth an equation is a polynomial in that depth's variable x
+    whose coefficients the earlier variables fix.  Of degree 0 it holds or
+    prunes; of degree 1, a x + b, it forces x = -b/a; two forced values that
+    differ prune; only equations of higher degree try every value of x.
+    Returns the solutions and the first prefix index left unsearched:
+    `stop`, or the first prefix reached after the search nodes (partial
+    assignments that pass every equation checked so far) exceed `budget`.
+    """
+    field_desc, n, slots, (add, mul, neg, inv), plan, leaf, prefix = kernel
     F = make_field(field_desc)
     elems = list(F.elements())
-    values = [F.zero] * len(order)
+    q = len(elems)
+    values = [0] * len(slots)
     out = []
+    nodes = 0
+
+    def admitted(d):
+        """The values at depth d that every equation of depth d admits."""
+        forced, curves = None, []
+        for poly in plan[d]:
+            coeffs = []
+            for terms in poly:
+                s = 0
+                for c, others in terms:
+                    for v in others:
+                        c = mul[c][values[v]]
+                    s = add[s][c]
+                coeffs.append(s)
+            while len(coeffs) > 1 and not coeffs[-1]:
+                coeffs.pop()
+            if len(coeffs) == 1:
+                if coeffs[0]:
+                    return ()
+            elif len(coeffs) == 2:
+                x = mul[neg[coeffs[0]]][inv[coeffs[1]]]
+                if forced is None:
+                    forced = x
+                elif x != forced:
+                    return ()
+            else:
+                curves.append(coeffs[::-1])
+        candidates = range(q) if forced is None else (forced,)
+        if not curves:
+            return candidates
+        kept = []
+        for x in candidates:
+            for coeffs in curves:
+                s = 0
+                for c in coeffs:
+                    s = add[mul[s][x]][c]
+                if s:
+                    break
+            else:
+                kept.append(x)
+        return kept
 
     def extend(d):
-        if d == len(order):
-            M = tuple(tuple(values[r * n:(r + 1) * n]) for r in range(n))
+        nonlocal nodes
+        if d == len(slots):
+            M = tuple(tuple(elems[values[slots[r * n + m]]] for m in range(n))
+                      for r in range(n))
             if leaf is None or leaf(F, M):
                 out.append(M)
             return
-        var = order[d]
-        for x in elems:
-            values[var] = x
-            if all(_holds(F, eq, values) for eq in checks[d]):
-                extend(d + 1)
+        for x in admitted(d):
+            values[d] = x
+            nodes += 1
+            extend(d + 1)
 
-    for index in range(start, stop):
-        head = la.decode_matrix(F, 1, prefix, index, elems)[0]
-        for d, x in enumerate(head):
-            values[order[d]] = x
-        if all(_holds(F, eq, values) for d in range(prefix)
-               for eq in checks[d]):
-            extend(prefix)
-    return out
+    def heads(d, base):
+        """The admitted assignments of the first `prefix` variables whose
+        index meets [start, stop), in order, as indices; values[:d] are set
+        and have index `base`."""
+        if d == prefix:
+            yield base
+            return
+        width = q ** (prefix - d - 1)
+        for x in admitted(d):
+            index = base * q + x
+            if index * width < stop and (index + 1) * width > start:
+                values[d] = x
+                yield from heads(d + 1, index)
+
+    for head in heads(0, 0):
+        if budget is not None and nodes > budget:
+            return out, head
+        nodes += 1
+        extend(prefix)
+    return out, stop

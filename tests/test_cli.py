@@ -498,6 +498,16 @@ def test_workers_below_one_is_usage_error(capsys, command, workers):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("max_n", ["1", "0", "-3"])
+def test_max_n_below_two_is_usage_error(capsys, max_n):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-theorems", "--suite", "all", f"--max-n={max_n}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--max-n" in err and "at least 2" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_command_rejected_by_parser(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from prelie import parallel
 from prelie.algebras import Algebra, apex_algebra, minus_algebra
+from prelie.errors import CapError
 from prelie.fields import make_field
 from prelie.linalg import (enumerate_matrices, identity_matrix,
                            is_invertible, mat_scale, zero_matrix)
@@ -141,8 +142,10 @@ def worker_ids(args) -> list:
 
 @pytest.fixture
 def fresh_pool(monkeypatch):
-    """No pool before or after the test, and CPUs to start one on."""
+    """No pool before or after the test, CPUs to start one on, and no
+    search budget, so that every scan at more than one worker reaches it."""
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(parallel, "SCAN_BUDGET", 0)
     parallel._close_pool()
     yield
     parallel._close_pool()
@@ -160,6 +163,54 @@ def started(monkeypatch):
 
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingExecutor)
     return pools
+
+
+DEFAULT_BUDGET = parallel.SCAN_BUDGET
+
+
+def test_a_scan_within_the_budget_starts_no_pool(fresh_pool, started,
+                                                 monkeypatch):
+    monkeypatch.setattr(parallel, "SCAN_BUDGET", DEFAULT_BUDGET)
+    at_one = [enumerate_rb_operators(A3, w) for w in GF3.elements()]
+    assert [enumerate_rb_operators(A3, w, workers=2)
+            for w in GF3.elements()] == at_one
+    assert enumerate_automorphisms(A3, workers=2) == \
+        enumerate_automorphisms(A3)
+    assert started == []
+
+
+def test_a_scan_over_the_budget_hands_the_rest_to_the_pool(
+        fresh_pool, started, monkeypatch):
+    """The calling process searches the first prefixes and the pool the
+    rest, each prefix exactly once."""
+    handed = []
+    run_chunks = parallel.run_chunks
+
+    def recording(chunk_fn, common_args, total, workers=1):
+        handed.append(total)
+        return run_chunks(chunk_fn, common_args, total, workers)
+
+    monkeypatch.setattr(parallel, "run_chunks", recording)
+    monkeypatch.setattr(parallel, "SCAN_BUDGET", 100)
+    expected = enumerate_rb_operators(A3, 1)
+    assert handed == []
+    assert enumerate_rb_operators(A3, 1, workers=2) == expected
+    assert len(started) == 1
+    # Nine prefixes of two entries each at two workers: some stay here.
+    assert len(handed) == 1 and 0 < handed[0] < 9
+
+
+@pytest.mark.parametrize("budget", [0, 100, DEFAULT_BUDGET])
+def test_the_budget_does_not_change_the_scans(fresh_pool, monkeypatch,
+                                              budget):
+    monkeypatch.setattr(parallel, "SCAN_BUDGET", budget)
+    for A in (A3, apex_algebra(make_field("gf9"), 2)):
+        F = A.field
+        for w in F.elements():
+            assert enumerate_rb_operators(A, w, workers=2) == \
+                enumerate_rb_operators(A, w)
+        assert enumerate_automorphisms(A, workers=2) == \
+            enumerate_automorphisms(A)
 
 
 def test_scans_share_one_pool(fresh_pool, started):
@@ -198,6 +249,9 @@ def test_a_broken_pool_is_replaced_by_the_next_scan(fresh_pool):
     expected = enumerate_rb_operators(A3, 1)
     (worker, _), = parallel.run_chunks(worker_ids, (), 1, workers=2)
     os.kill(worker, signal.SIGKILL)
+    # Let the pool see the worker die before the scan gives it work, or the
+    # other worker may finish the scan before the pool notices.
+    workers_gone([worker], timeout=10)
     with pytest.raises(BrokenProcessPool):
         enumerate_rb_operators(A3, 1, workers=2)
     assert enumerate_rb_operators(A3, 1, workers=2) == expected
@@ -271,7 +325,7 @@ def running(pid) -> bool:
     try:
         with open(f"/proc/{pid}/stat") as f:
             return f.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except FileNotFoundError:
+    except (FileNotFoundError, ProcessLookupError):  # reaped meanwhile
         return False
 
 
@@ -292,6 +346,7 @@ if __name__ == "__main__":
     method, then = sys.argv[1:]
     multiprocessing.set_start_method(method)
     parallel.os.cpu_count = lambda: 2
+    parallel.SCAN_BUDGET = 0
     print(repr(enumerate_rb_operators(apex_algebra(make_field("gf3"), 3), 1,
                                       workers=2)))
     print(*parallel._pool[1]._processes)
@@ -400,16 +455,28 @@ def orthogonal_group_order(m, q):
     return order
 
 
-@pytest.mark.parametrize("spec,n,expected", [("gf5", 3, 8), ("gf7", 3, 16),
-                                             ("gf3", 4, 48)])
+@pytest.mark.parametrize("spec,n,expected", [
+    ("gf5", 3, 8), ("gf7", 3, 16), ("gf3", 4, 48), ("gf9", 3, 16),
+    ("gf11", 3, 24), ("gf13", 3, 24)])
 def test_automorphism_counts_equal_the_orthogonal_group_order(spec, n,
                                                               expected):
     F = make_field(spec)
     A = apex_algebra(F, n)
     assert orthogonal_group_order(n - 1, F.order) == expected
-    found = enumerate_automorphisms(A, cap=10 ** 8)
+    found = enumerate_automorphisms(A, cap=F.order ** (n * n))
     assert len(found) == expected
     assert all(is_automorphism(A, M).ok for M in found)
+
+
+def test_the_field_tables_count_against_the_cap():
+    A = apex_algebra(make_field("gf101"), 1)
+    with pytest.raises(CapError, match="10201 field table entries"):
+        enumerate_rb_operators(A, 0, cap=10 ** 4)
+    F = A.field
+    for w in (F.zero, F.one):
+        assert enumerate_rb_operators(A, w, cap=10 ** 5) == [
+            M for M in enumerate_matrices(F, 1, 1)
+            if rb_residual_report(A, M, w).ok]
 
 
 def test_operator_set_gf5_n3_weight1():
