@@ -360,34 +360,40 @@ def _ring_product(ring: PolyRing, A: Algebra, x: list, y: list) -> list:
 
 
 def _operator_equations(A: Algebra, inner) -> list[list[tuple]]:
-    """The identity M(b_i) M(b_j) = M(inner(ring, cols, i, j)) on every
-    basis pair, as scalar equations in the dim^2 entries of a matrix M.
+    """The identity M(b_i) M(b_j) = M(v_ij) on every basis pair, as scalar
+    equations in the dim^2 entries of a matrix M, expanded straight from
+    the nonzero structure constants.
 
-    Entry (k, m) of M is variable k * dim + m; `cols` are the columns of M
-    as vectors of polynomials, and `inner` returns the vector M is applied
-    to on the right.  There is one equation per pair and coordinate, a list
-    of (coefficient, monomial) terms whose sum must vanish, a monomial being
-    the tuple of its variables.  Equations that vanish identically are left
+    Entry (k, m) of M is variable k * dim + m.  `inner(i, j)` returns v_ij
+    as a linear form in those variables: for each coordinate m, a list of
+    (coefficient, variable or None) terms, None marking a constant.  There
+    is one equation per pair and coordinate, a list of (coefficient,
+    monomial) terms whose sum must vanish, a monomial being the sorted
+    tuple of its variables.  Equations that vanish identically are left
     out.
     """
+    F = A.field
     n = A.dim
-    ring = PolyRing(A.field, n * n)
-    rows = [[ring.gen(k * n + m) for m in range(n)] for k in range(n)]
-    cols = [[rows[k][m] for k in range(n)] for m in range(n)]
     out = []
     for i in range(n):
         for j in range(n):
-            lhs = _ring_product(ring, A, cols[i], cols[j])
-            v = inner(ring, cols, i, j)
-            for k in range(n):
-                rhs = ring.zero
-                for m in range(n):
-                    rhs = ring.add(rhs, ring.mul(rows[k][m], v[m]))
-                defect = ring.sub(lhs[k], rhs)
-                if defect:
-                    out.append([(c, tuple(t for t, e in enumerate(exps)
-                                          for _ in range(e)))
-                                for exps, c in defect.items()])
+            sums = [{} for _ in range(n)]
+            for (a, b, k), c in A.table.items():
+                u, v = a * n + i, b * n + j
+                mono = (u, v) if u <= v else (v, u)
+                sums[k][mono] = F.add(sums[k].get(mono, F.zero), c)
+            for m, terms in enumerate(inner(i, j)):
+                for c, var in terms:
+                    c = F.neg(c)
+                    for k in range(n):
+                        u = k * n + m
+                        mono = ((u,) if var is None else
+                                (u, var) if u <= var else (var, u))
+                        sums[k][mono] = F.add(sums[k].get(mono, F.zero), c)
+            for terms in sums:
+                eq = [(c, mono) for mono, c in terms.items() if c != F.zero]
+                if eq:
+                    out.append(eq)
     return out
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from . import linalg as la
 from .algebras import (Algebra, _check_apex, _check_shape,
-                       _operator_equations, _ring_product, is_subalgebra)
+                       _operator_equations, is_subalgebra)
 from .errors import CapError, DimensionError, FalsificationError
 from .fields import Field, FieldError, Scalar
 from .linalg import Matrix, Subspace
@@ -347,13 +347,18 @@ def _rb_equations(A: Algebra, weight: Scalar) -> list[list[tuple]]:
     + w b_i b_j) as scalar equations in the entries of R, one for each
     basis pair and coordinate, built from the structure constants."""
     F = A.field
+    n = A.dim
 
-    def inner(ring, cols, i, j):
-        const = lambda vec: [ring.const(c) for c in vec]
-        parts = (_ring_product(ring, A, cols[i], const(A.basis(j))),
-                 _ring_product(ring, A, const(A.basis(i)), cols[j]),
-                 const(la.vscale(F, weight, A.basis_product(i, j))))
-        return [ring.add(ring.add(x, y), z) for x, y, z in zip(*parts)]
+    def inner(i, j):
+        v = [[] for _ in range(n)]
+        for (a, b, k), c in A.table.items():
+            if b == j:
+                v[k].append((c, a * n + i))
+            if a == i:
+                v[k].append((c, b * n + j))
+                if b == j:
+                    v[k].append((F.mul(weight, c), None))
+        return v
 
     return _operator_equations(A, inner)
 

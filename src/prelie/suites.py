@@ -230,28 +230,35 @@ def _check_residuals_rb(config: RunConfig) -> tuple[bool, str | None]:
     return True, None
 
 
-def _operator_sets(config: RunConfig):
-    rng = _rng_for(config, "operator-sets")
-    for F, n in _scan_pairs(_resolve_fields(config), config.max_n, config.cap):
-        A = apex_algebra(F, n)
-        for w in _weights(F, rng):
-            ops = enumerate_rb_operators(A, w, cap=config.cap,
-                                         workers=config.workers)
-            yield F, n, w, A, ops
-
-
 class _OperatorSets:
-    """The (F, n, w, A, ops) of `_operator_sets` for one suite run: scanned
-    when first iterated, then shared by every check of the run that reads
-    them."""
+    """The complete operator sets of one suite run, each scanned once.
+
+    Iterating gives (F, n, w, A, ops) for every scan pair of the config at
+    its weights; `lookup` gives the (A, ops) of any one (F, n, w).  Both
+    read one memo, filled on first use and shared by every check of the
+    run that reads operator sets."""
 
     def __init__(self, config: RunConfig):
         self.config = config
+        self._memo = {}
         self._sets = None
+
+    def lookup(self, F: Field, n: int, w) -> tuple:
+        key = (F, n, w)
+        if key not in self._memo:
+            A = apex_algebra(F, n)
+            self._memo[key] = A, enumerate_rb_operators(
+                A, w, cap=self.config.cap, workers=self.config.workers)
+        return self._memo[key]
 
     def __iter__(self):
         if self._sets is None:
-            self._sets = list(_operator_sets(self.config))
+            config = self.config
+            rng = _rng_for(config, "operator-sets")
+            self._sets = [(F, n, w) + self.lookup(F, n, w)
+                          for F, n in _scan_pairs(_resolve_fields(config),
+                                                  config.max_n, config.cap)
+                          for w in _weights(F, rng)]
         return iter(self._sets)
 
 
@@ -362,15 +369,13 @@ def _check_rational(config: RunConfig) -> tuple[bool, str | None]:
     return True, None
 
 
-def _check_field_contrast(config: RunConfig) -> tuple[bool, str | None]:
+def _check_field_contrast(sets: _OperatorSets) -> tuple[bool, str | None]:
     """Operator existence depends on quadratic solvability: x^2 = -1 has
     roots over GF(5) but not GF(3), and the dim-2 weight-1 operator sets
     differ accordingly."""
     gf3, gf5 = make_field("gf3"), make_field("gf5")
-    few = enumerate_rb_operators(apex_algebra(gf3, 2), gf3.one,
-                                 cap=config.cap, workers=config.workers)
-    many = enumerate_rb_operators(apex_algebra(gf5, 2), gf5.one,
-                                  cap=config.cap, workers=config.workers)
+    few = sets.lookup(gf3, 2, gf3.one)[1]
+    many = sets.lookup(gf5, 2, gf5.one)[1]
     if len(few) != 2 or not all(is_trivial_operator(gf3, R, gf3.one)
                                 for R in few):
         return False, f"GF(3) set has {len(few)} operators"
@@ -439,13 +444,13 @@ def _check_example_line(config: RunConfig) -> tuple[bool, str | None]:
     return True, None
 
 
-def _check_unital_lifts(config: RunConfig) -> tuple[bool, str | None]:
+def _check_unital_lifts(sets: _OperatorSets) -> tuple[bool, str | None]:
     gf3 = make_field("gf3")
     A = apex_algebra(gf3, 3)
     U = unital_extension(A)
     if not check_identity(U, "pre_lie").ok:
         return False, "unital extension is not left-symmetric"
-    for Q in enumerate_orthogonal(gf3, 2, cap=config.cap):
+    for Q in enumerate_orthogonal(gf3, 2, cap=sets.config.cap):
         phi = embed_orthogonal(gf3, Q, 3)
         lift = _embed(gf3, phi, gf3.one)
         if not is_automorphism(U, lift).ok:
@@ -455,8 +460,7 @@ def _check_unital_lifts(config: RunConfig) -> tuple[bool, str | None]:
     if not is_derivation(U, _embed(gf3, d, gf3.zero)).ok:
         return False, "derivation lift fails"
     for w in gf3.elements():
-        for R in enumerate_rb_operators(A, w, cap=config.cap,
-                                        workers=config.workers):
+        for R in sets.lookup(gf3, 3, w)[1]:
             if not is_rb_operator(U, _embed(gf3, R, gf3.zero), w).ok:
                 return False, f"operator lift fails at w={gf3.format(w)}: {R}"
     return True, None
@@ -583,7 +587,8 @@ _CHECKS = {
 
 # The checks that read the run's shared operator sets, not its config.
 _ON_OPERATOR_SETS = {_check_quadratic_isotropy, _check_case_analysis,
-                     _check_splitting, _check_index}
+                     _check_splitting, _check_index, _check_field_contrast,
+                     _check_unital_lifts}
 
 
 def run_suite(suite: str, config: RunConfig | None = None) -> dict:

@@ -272,8 +272,8 @@ def _product_equations(A: Algebra) -> list[list[tuple]]:
     """phi(b_i) phi(b_j) = phi(b_i b_j) as scalar equations in the entries
     of phi, one for each basis pair and coordinate, built from the
     structure constants."""
-    return _operator_equations(A, lambda ring, cols, i, j: [
-        ring.const(c) for c in A.basis_product(i, j)])
+    return _operator_equations(A, lambda i, j: [
+        [(c, None)] for c in A.basis_product(i, j)])
 
 
 # -------------------------------------------------- classification checks

@@ -362,6 +362,28 @@ def test_suite_run_scans_each_operator_set_once(capsys, monkeypatch):
         assert len(calls) == 3 * runs
 
 
+def test_suite_all_scans_each_field_dimension_and_weight_once(capsys,
+                                                              monkeypatch):
+    from prelie import suites
+    scan, calls = suites.enumerate_rb_operators, []
+
+    def counting_scan(A, w, **kwargs):
+        calls.append((A.field, A.dim, w))
+        return scan(A, w, **kwargs)
+
+    monkeypatch.setattr(suites, "enumerate_rb_operators", counting_scan)
+    # field-contrast and unital-lifts read GF(3) and GF(5) sets that the
+    # scan-backed checks of the default config have already scanned.
+    code, rep = run_json(capsys, "verify-theorems", "--suite", "all")
+    assert code == 0 and rep["ok"]
+    assert len(calls) == len(set(calls)) == 11
+    # Without the scan-backed checks, unital-lifts scans its own three sets.
+    calls.clear()
+    code, rep = run_json(capsys, "verify-theorems", "--suite", "remarks")
+    assert code == 0 and rep["ok"]
+    assert [(repr(F), n) for F, n, _ in calls] == [("GF(3)", 3)] * 3
+
+
 @pytest.mark.parametrize("argv", [
     ("rb-enumerate", "--n", "3", "--field", "gf3", "--weight", "all"),
     ("automorphisms", "--n", "3", "--field", "gf3"),

@@ -3,7 +3,9 @@
 The differential tests hold every scan to a filter over the plain
 enumeration, so a scan that drops a matrix fails as surely as one that
 admits a wrong one.  Beyond the reach of that filter, automorphism counts
-are held to the closed-form order of the orthogonal group.
+are held to the closed-form order of the orthogonal group.  The equations
+the scans solve are held to their slow expansion through the polynomial
+ring, on random tables.
 """
 
 import multiprocessing
@@ -19,14 +21,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prelie import parallel
-from prelie.algebras import Algebra, apex_algebra, minus_algebra
+from prelie.algebras import (Algebra, _ring_product, apex_algebra,
+                             minus_algebra)
 from prelie.errors import CapError
 from prelie.fields import make_field
 from prelie.linalg import (enumerate_matrices, identity_matrix,
-                           is_invertible, mat_scale, zero_matrix)
-from prelie.rota_baxter import (enumerate_rb_operators, is_rb_operator,
-                                rb_residual_report, reflect_operator)
-from prelie.symmetry import (automorphism_residual_report,
+                           is_invertible, mat_scale, vscale, zero_matrix)
+from prelie.polyring import PolyRing
+from prelie.rota_baxter import (_rb_equations, enumerate_rb_operators,
+                                is_rb_operator, rb_residual_report,
+                                reflect_operator)
+from prelie.symmetry import (_product_equations,
+                             automorphism_residual_report,
                              enumerate_automorphisms, is_automorphism)
 
 GF5 = make_field("gf5")
@@ -115,6 +121,90 @@ def test_scans_match_the_checkers_on_random_tables(case):
         M for M in candidates if is_rb_operator(A, M, w).ok]
     assert enumerate_automorphisms(A) == [
         M for M in candidates if is_automorphism(A, M).ok]
+
+
+# ------------------------------ equations against the generic expansion
+
+def generic_equations(A, inner):
+    """The identity M(b_i) M(b_j) = M(v_ij) expanded the slow way: the
+    columns of a generic matrix as polynomials, then the coefficients of
+    lhs - sum_m x_km v_m, with `inner(ring, cols, i, j)` giving v_ij."""
+    n = A.dim
+    ring = PolyRing(A.field, n * n)
+    rows = [[ring.gen(k * n + m) for m in range(n)] for k in range(n)]
+    cols = [[rows[k][m] for k in range(n)] for m in range(n)]
+    out = []
+    for i in range(n):
+        for j in range(n):
+            lhs = _ring_product(ring, A, cols[i], cols[j])
+            v = inner(ring, cols, i, j)
+            for k in range(n):
+                rhs = ring.zero
+                for m in range(n):
+                    rhs = ring.add(rhs, ring.mul(rows[k][m], v[m]))
+                defect = ring.sub(lhs[k], rhs)
+                if defect:
+                    out.append([(c, tuple(t for t, e in enumerate(exps)
+                                          for _ in range(e)))
+                                for exps, c in defect.items()])
+    return out
+
+
+def generic_rb_equations(A, w):
+    def inner(ring, cols, i, j):
+        const = lambda vec: [ring.const(c) for c in vec]
+        parts = (_ring_product(ring, A, cols[i], const(A.basis(j))),
+                 _ring_product(ring, A, const(A.basis(i)), cols[j]),
+                 const(vscale(A.field, w, A.basis_product(i, j))))
+        return [ring.add(ring.add(x, y), z) for x, y, z in zip(*parts)]
+
+    return generic_equations(A, inner)
+
+
+def generic_product_equations(A):
+    return generic_equations(A, lambda ring, cols, i, j: [
+        ring.const(c) for c in A.basis_product(i, j)])
+
+
+def as_multiset(F, equations):
+    """Equations up to the order of equations and of terms; monomials are
+    kept as given, so an unsorted one does not compare equal."""
+    return sorted(sorted((mono, F.format(c)) for c, mono in eq)
+                  for eq in equations)
+
+
+@st.composite
+def sparse_tables(draw):
+    """A random table at n <= 3 over GF(3), GF(5), GF(9), Q or Q(i), and a
+    weight that is zero about a third of the time."""
+    spec = draw(st.sampled_from(["gf3", "gf5", "gf9", "q", "qi"]))
+    F = make_field(spec)
+    if F.is_finite:
+        scalars = st.sampled_from(list(F.elements()))
+    else:
+        scalars = st.builds(lambda a, b: F.parse(f"{a}/{b}"),
+                            st.integers(-3, 3), st.integers(1, 3))
+        if spec == "qi":
+            root = F.parse("r")
+            scalars = st.builds(lambda x, y: F.add(x, F.mul(y, root)),
+                                scalars, scalars)
+    n = draw(st.integers(1, 3))
+    index = st.integers(0, n - 1)
+    table = draw(st.dictionaries(st.tuples(index, index, index), scalars,
+                                 max_size=2 * n * n))
+    w = draw(st.one_of(st.just(F.zero), scalars))
+    return Algebra(F, n, table), w
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_tables())
+def test_equations_match_the_generic_expansion(case):
+    A, w = case
+    F = A.field
+    assert as_multiset(F, _rb_equations(A, w)) == \
+        as_multiset(F, generic_rb_equations(A, w))
+    assert as_multiset(F, _product_equations(A)) == \
+        as_multiset(F, generic_product_equations(A))
 
 
 def test_worker_count_does_not_change_the_scans():
