@@ -165,8 +165,7 @@ def cmd_automorphisms(args) -> int:
                "matrices": [_format_matrix(A.field, M) for M in found]}
     exit_code = 0
     if is_apex_algebra(A):
-        rep = automorphism_orthogonal_correspondence(A, cap=args.cap,
-                                                     workers=args.workers)
+        rep = automorphism_orthogonal_correspondence(A, found, cap=args.cap)
         payload["block_correspondence"] = {
             "holds": rep.ok,
             "automorphisms": rep.details["automorphisms"],
@@ -341,8 +340,6 @@ def _add_algebra_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=_at_least(1), default=1,
                    help="processes for exhaustive scans (at least 1; "
                         "capped at the CPU count)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized cross-checks")
     p.add_argument("--out", help="also write the JSON output to this file")
 
 

@@ -335,10 +335,6 @@ class QuadraticField(Field):
     def from_int(self, k):
         return (self.base.from_int(k), self.base.zero)
 
-    def embed(self, a: Scalar) -> Scalar:
-        """Lift a base-field scalar into the extension."""
-        return (a, self.base.zero)
-
     def parse(self, text):
         B = self.base
         s = text.replace(" ", "")

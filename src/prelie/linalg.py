@@ -391,6 +391,10 @@ def random_matrix(F: Field, rows: int, cols: int, rng) -> Matrix:
 
 def matrix_from_json(F: Field, data, rows: int, cols: int) -> Matrix:
     if isinstance(data, dict):
+        for key, want in (("rows", rows), ("cols", cols)):
+            if data.get(key, want) != want:
+                raise DimensionError(f"expected {key} = {want}, "
+                                     f"got {data[key]!r}")
         data = data.get("entries", data)
     flat: list = []
     for item in data:

@@ -11,15 +11,15 @@ polynomial in that entry: a linear one forces its value, and only one of
 higher degree has every value tried, so no partial matrix that breaks an
 equation is extended.
 
-The search is split over the assignments of its first few entries, its
-prefixes.  A scan searches them in order in the calling process: all of
-them at one worker, and at more than one until its search nodes exceed
-SCAN_BUDGET, when it hands the rest to `run_chunks`.  So a scan that fits
-the budget never touches the pool.  `run_chunks` partitions a range of
-indices into contiguous ranges; each chunk function receives
-(common_args..., start, stop) and returns a list, and results are
-concatenated in chunk order.  The scan then sorts its solutions into
-canonical order, so the output is identical for any worker count.
+The search is split over the admitted values of its first few entries,
+its prefixes.  A scan searches them in order in the calling process: all
+of them at one worker, and at more than one until its search nodes exceed
+SCAN_BUDGET, when it hands the list of those left to `run_chunks`, which
+cuts range(total) into contiguous ranges (here, of that list); each chunk
+function receives (common_args..., start, stop) and returns a list, and
+results are concatenated in chunk order.  So a scan that fits the budget
+never touches the pool.  The scan then sorts its solutions into canonical
+order, so the output is identical for any worker count.
 
 A process runs at most one process pool.  It is started by the first
 `run_chunks` call with more than one worker and reused by every later one.
@@ -40,9 +40,9 @@ from multiprocessing import Pipe, util
 from . import linalg as la
 from .algebras import Algebra
 from .errors import CapError
-from .fields import make_field
 
-__all__ = ["pool_size", "run_chunks", "scan_matrices", "split_ranges"]
+__all__ = ["check_scan", "pool_size", "run_chunks", "scan_matrices",
+           "split_ranges"]
 
 
 def split_ranges(total: int, pieces: int) -> list[tuple[int, int]]:
@@ -176,18 +176,9 @@ def run_chunks(chunk_fn, common_args: tuple, total: int, workers: int = 1) -> li
     return [item for chunk in chunks for item in chunk]
 
 
-def scan_matrices(A: Algebra, system, params: tuple = (),
-                  cap: int = 10 ** 7, workers: int = 1) -> list:
-    """Every dim x dim matrix M over the finite field of A that solves
-    system(A, *params), in canonical enumeration order.
-
-    `system` returns a list of scalar equations in the dim^2 entries of M
-    (entry (k, m) is variable k * dim + m; an equation is a list of
-    (coefficient, monomial) terms summing to zero, a monomial the tuple of
-    its variables) and a leaf test leaf(F, M) that every solution must
-    also pass, or None.  `cap` bounds q^(dim^2), the size of the space,
-    and q^2, the size of the field's arithmetic tables.
-    """
+def check_scan(A: Algebra, cap: int) -> None:
+    """Refuse a scan over an infinite field, or one whose q^(dim^2) matrices
+    or q^2 field table entries exceed `cap`, before its equations cost."""
     F = A.field
     if not F.is_finite:
         raise CapError("exhaustive matrix scans require a finite field")
@@ -196,7 +187,19 @@ def scan_matrices(A: Algebra, system, params: tuple = (),
         raise CapError(f"{total} candidate matrices exceed cap {cap}")
     if F.order ** 2 > cap:
         raise CapError(f"{F.order ** 2} field table entries exceed cap {cap}")
-    equations, leaf = system(A, *params)
+
+
+def scan_matrices(A: Algebra, equations: list, leaf=None,
+                  cap: int = 10 ** 7, workers: int = 1) -> list:
+    """Every dim x dim matrix M over the finite field of A that solves
+    `equations` and passes leaf(F, M), if given, in canonical order.
+
+    An equation is a list of (coefficient, monomial) terms summing to zero
+    in the dim^2 entries of M (entry (k, m) is variable k * dim + m, and a
+    monomial is the tuple of its variables); `cap` is as in `check_scan`.
+    """
+    check_scan(A, cap)
+    F = A.field
     order = _search_order(A.dim * A.dim, equations)
     processes = pool_size(workers)
     # Enough prefix assignments to give every chunk at least one.
@@ -204,14 +207,12 @@ def scan_matrices(A: Algebra, system, params: tuple = (),
     while prefix < len(order) and F.order ** prefix < _pieces(processes):
         prefix += 1
     slots = [order.index(v) for v in range(len(order))]  # entry -> depth
-    kernel = (F.descriptor(), A.dim, slots, _tables(F),
-              _compile(F, equations, order), leaf, prefix)
-    prefixes = F.order ** prefix
-    found, resume = _search(kernel, 0, prefixes,
-                            SCAN_BUDGET if processes > 1 else None)
-    if resume < prefixes:
-        found += run_chunks(_scan_chunk, (kernel, resume), prefixes - resume,
-                            workers)
+    kernel = (F, A.dim, slots, _tables(F), _compile(F, equations, order),
+              leaf, prefix)
+    found, rest = _search(kernel, None,
+                          SCAN_BUDGET if processes > 1 else None)
+    if rest:
+        found += run_chunks(_scan_chunk, (kernel, rest), len(rest), workers)
     return sorted(found, key=lambda M: la.matrix_sort_key(F, M))
 
 
@@ -266,26 +267,26 @@ def _compile(F, equations: list, order: list[int]) -> list[list[tuple]]:
 
 
 def _scan_chunk(args) -> list:
-    """The solutions from prefix indices offset + [start, stop)."""
-    kernel, offset, start, stop = args
-    return _search(kernel, offset + start, offset + stop)[0]
+    """The solutions below the prefixes rest[start:stop]."""
+    kernel, rest, start, stop = args
+    return _search(kernel, rest[start:stop])[0]
 
 
-def _search(kernel, start: int, stop: int, budget: int | None = None):
+def _search(kernel, prefixes: list | None, budget: int | None = None):
     """Backtracking with forward checking over the variables in depth
-    order, from each prefix index in [start, stop); a prefix index has the
-    values of the first `prefix` variables as its base-q digits.
+    order, below each of `prefixes`, or below every admitted prefix when
+    `prefixes` is None; a prefix is a tuple of values of the first
+    `prefix` variables.
 
     At each depth an equation is a polynomial in that depth's variable x
     whose coefficients the earlier variables fix.  Of degree 0 it holds or
     prunes; of degree 1, a x + b, it forces x = -b/a; two forced values that
     differ prune; only equations of higher degree try every value of x.
-    Returns the solutions and the first prefix index left unsearched:
-    `stop`, or the first prefix reached after the search nodes (partial
+    Returns the solutions and the admitted prefixes left unsearched: none,
+    or those from the first reached after the search nodes (partial
     assignments that pass every equation checked so far) exceed `budget`.
     """
-    field_desc, n, slots, (add, mul, neg, inv), plan, leaf, prefix = kernel
-    F = make_field(field_desc)
+    F, n, slots, (add, mul, neg, inv), plan, leaf, prefix = kernel
     elems = list(F.elements())
     q = len(elems)
     values = [0] * len(slots)
@@ -345,23 +346,21 @@ def _search(kernel, start: int, stop: int, budget: int | None = None):
             nodes += 1
             extend(d + 1)
 
-    def heads(d, base):
-        """The admitted assignments of the first `prefix` variables whose
-        index meets [start, stop), in order, as indices; values[:d] are set
-        and have index `base`."""
+    def heads(d):
+        """The admitted assignments of the first `prefix` variables, in
+        order, as tuples; values[:d] are set."""
         if d == prefix:
-            yield base
+            yield tuple(values[:prefix])
             return
-        width = q ** (prefix - d - 1)
         for x in admitted(d):
-            index = base * q + x
-            if index * width < stop and (index + 1) * width > start:
-                values[d] = x
-                yield from heads(d + 1, index)
+            values[d] = x
+            yield from heads(d + 1)
 
-    for head in heads(0, 0):
+    todo = heads(0) if prefixes is None else iter(prefixes)
+    for head in todo:
         if budget is not None and nodes > budget:
-            return out, head
+            return out, [head, *todo]
+        values[:prefix] = head
         nodes += 1
         extend(prefix)
-    return out, stop
+    return out, []

@@ -29,7 +29,7 @@ from .algebras import (Algebra, _check_apex, _check_shape,
 from .errors import CapError, DimensionError, FalsificationError
 from .fields import Field, FieldError, Scalar
 from .linalg import Matrix, Subspace
-from .parallel import scan_matrices
+from .parallel import check_scan, scan_matrices
 from .reports import CheckReport, residual_report
 
 __all__ = [
@@ -335,11 +335,9 @@ def enumerate_rb_operators(A: Algebra, weight: Scalar, cap: int = 10 ** 7,
     of the defining identity (see `parallel.scan_matrices`); `cap` bounds
     the size q^(dim^2) of the matrix space all the same.
     """
-    return scan_matrices(A, _rb_system, (weight,), cap=cap, workers=workers)
-
-
-def _rb_system(A: Algebra, weight: Scalar) -> tuple[list, None]:
-    return _rb_equations(A, weight), None
+    check_scan(A, cap)
+    return scan_matrices(A, _rb_equations(A, weight), cap=cap,
+                         workers=workers)
 
 
 def _rb_equations(A: Algebra, weight: Scalar) -> list[list[tuple]]:

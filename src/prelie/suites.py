@@ -41,12 +41,13 @@ from .rota_baxter import (classify_case, enumerate_decompositions,
                           reflect_operator, skew_pairing_operator,
                           splitting_certificate, splitting_operator,
                           square_isotropy_check, totally_real_isotropy_check)
-from .symmetry import (_embed, automorphism_orthogonal_correspondence,
+from .symmetry import (_embed, _product_failure,
+                       automorphism_orthogonal_correspondence,
                        automorphism_residual_report,
                        derivation_residual_report,
                        derivation_skew_correspondence, embed_orthogonal,
-                       embed_skew, enumerate_orthogonal, is_automorphism,
-                       is_derivation)
+                       embed_skew, enumerate_automorphisms,
+                       enumerate_orthogonal, is_automorphism, is_derivation)
 
 __all__ = ["CheckRecord", "RunConfig", "SUITES", "run_suite"]
 
@@ -189,8 +190,10 @@ def _check_derivations(config: RunConfig) -> tuple[bool, str | None]:
 def _check_automorphisms(config: RunConfig) -> tuple[bool, str | None]:
     ran = 0
     for F, n in _scan_pairs(_resolve_fields(config), config.max_n, config.cap):
-        rep = automorphism_orthogonal_correspondence(
-            apex_algebra(F, n), cap=config.cap, workers=config.workers)
+        A = apex_algebra(F, n)
+        found = enumerate_automorphisms(A, cap=config.cap,
+                                        workers=config.workers)
+        rep = automorphism_orthogonal_correspondence(A, found, cap=config.cap)
         ran += 1
         if not rep.ok:
             return False, f"group mismatch at {F!r} n={n}: {rep.details}"
@@ -204,7 +207,7 @@ def _check_residuals_symmetry(config: RunConfig) -> tuple[bool, str | None]:
             A = apex_algebra(F, n)
             for _ in range(40):
                 M = la.random_matrix(F, n, n, rng)
-                mult = is_automorphism(A, M).details["multiplicative"]
+                mult = _product_failure(A, M) is None
                 if automorphism_residual_report(A, M).ok != mult:
                     return False, f"automorphism residuals disagree at " \
                         f"{F!r} n={n}: {M}"

@@ -23,7 +23,7 @@ from .algebras import (Algebra, _check_apex, _check_shape,
 from .errors import DimensionError
 from .fields import Field
 from .linalg import Matrix, Subspace
-from .parallel import scan_matrices
+from .parallel import check_scan, scan_matrices
 from .reports import CheckReport, residual_report
 
 __all__ = [
@@ -261,11 +261,9 @@ def enumerate_automorphisms(A: Algebra, cap: int = 10 ** 7,
     `parallel.scan_matrices`); `cap` bounds the size q^(dim^2) of the
     matrix space all the same.
     """
-    return scan_matrices(A, _automorphism_system, cap=cap, workers=workers)
-
-
-def _automorphism_system(A: Algebra) -> tuple[list, object]:
-    return _product_equations(A), la.is_invertible
+    check_scan(A, cap)
+    return scan_matrices(A, _product_equations(A), la.is_invertible,
+                         cap=cap, workers=workers)
 
 
 def _product_equations(A: Algebra) -> list[list[tuple]]:
@@ -278,15 +276,15 @@ def _product_equations(A: Algebra) -> list[list[tuple]]:
 
 # -------------------------------------------------- classification checks
 
-def automorphism_orthogonal_correspondence(A: Algebra, cap: int = 10 ** 7,
-                                           workers: int = 1) -> CheckReport:
+def automorphism_orthogonal_correspondence(A: Algebra, found: list[Matrix],
+                                           cap: int = 10 ** 7) -> CheckReport:
     """The automorphisms of the apex algebra are exactly the embedded
-    orthogonal matrices diag(Q, 1): checked as set equality between the
-    exhaustive automorphism scan and the independent orthogonal scan."""
+    orthogonal matrices diag(Q, 1): checked as set equality between
+    `found`, the complete set (from enumerate_automorphisms), and the
+    independent orthogonal scan."""
     if not is_apex_algebra(A):
         raise DimensionError("correspondence check expects the apex table")
     F = A.field
-    found = enumerate_automorphisms(A, cap=cap, workers=workers)
     expected = [embed_orthogonal(F, Q, A.dim)
                 for Q in enumerate_orthogonal(F, A.dim - 1, cap=cap)]
     key = lambda M: la.matrix_sort_key(F, M)
@@ -323,15 +321,15 @@ def derivation_skew_correspondence(A: Algebra) -> CheckReport:
             gens.append(tuple(flat))
     expected = la.span(F, n * n, gens)
     ok = (found == expected and found.dim == m * (m - 1) // 2)
-    shapes_ok = all(_has_skew_block_shape(F, M) for M in derivation_matrices(A))
+    shapes_ok = all(_has_skew_block_shape(F, n, flat) for flat in found.basis)
     return CheckReport(ok and shapes_ok,
                        details={"dim": found.dim,
                                 "expected_dim": m * (m - 1) // 2,
                                 "block_shapes": shapes_ok})
 
 
-def _has_skew_block_shape(F: Field, M: Matrix) -> bool:
-    n = len(M)
+def _has_skew_block_shape(F: Field, n: int, flat: tuple) -> bool:
+    M = tuple(flat[r * n:(r + 1) * n] for r in range(n))
     border = all(M[n - 1][j] == F.zero for j in range(n)) and \
         all(M[i][n - 1] == F.zero for i in range(n))
     block = tuple(row[:n - 1] for row in M[:n - 1])

@@ -161,6 +161,22 @@ def test_automorphisms_frozen_group_and_correspondence(capsys):
                                            "orthogonal_blocks": 2}
 
 
+def test_automorphisms_scans_the_group_once(capsys, monkeypatch):
+    from prelie import symmetry
+    scan, calls = symmetry.scan_matrices, []
+
+    def counting_scan(A, *args, **kwargs):
+        calls.append(A)
+        return scan(A, *args, **kwargs)
+
+    monkeypatch.setattr(symmetry, "scan_matrices", counting_scan)
+    code, rep = run_json(capsys, "automorphisms", "--n", "3", "--field",
+                         "gf3")
+    assert code == 0
+    assert rep["count"] == 8 and rep["block_correspondence"]["holds"]
+    assert len(calls) == 1
+
+
 def test_automorphisms_non_apex_has_no_correspondence(capsys):
     code, rep = run_json(capsys, "automorphisms", "--family", "un", "--n",
                          "2", "--field", "gf3")
@@ -462,6 +478,17 @@ def test_wrong_operator_shape_is_usage_error(capsys, tmp_path):
     assert "bad operator JSON" in err
 
 
+def test_operator_object_of_another_shape_is_usage_error(capsys, tmp_path):
+    """Four entries fill a 2 x 2 operator, but the object says 3 x 3."""
+    op = write_json(tmp_path / "op.json", {"rows": 3, "cols": 3,
+                                           "entries": ["0", "0", "0", "0"]})
+    code, out, err = run_cli(capsys, "rb-verify", "--family", "in", "--n",
+                             "2", "--field", "gf5", "--op", op,
+                             "--weight", "1")
+    assert code == 2 and out == ""
+    assert "bad operator JSON" in err and "rows" in err
+
+
 def test_missing_marked_vector_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "build", "--family", "ex1", "--field",
                            "gf5")
@@ -528,6 +555,13 @@ def test_max_n_below_two_is_usage_error(capsys, max_n):
     err = capsys.readouterr().err
     assert "--max-n" in err and "at least 2" in err
     assert "Traceback" not in err
+
+
+def test_seed_is_only_a_verify_theorems_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rb-enumerate", "--n", "2", "--field", "gf3", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_unknown_command_rejected_by_parser(capsys):

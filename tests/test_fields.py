@@ -93,7 +93,7 @@ def test_gf9_sqrt_exhaustive():
 
 def test_every_subfield_element_is_a_square_in_gf9():
     for a in GF3.elements():
-        assert GF9.sqrt(GF9.embed(a)) is not None
+        assert GF9.sqrt(GF9.from_int(a)) is not None
 
 
 def test_rational_sqrt():

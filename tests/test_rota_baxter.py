@@ -95,6 +95,18 @@ def test_enumeration_guards():
         enumerate_rb_operators(apex_algebra(GF5, 3), 1, cap=100)
 
 
+def test_enumeration_refuses_before_building_equations(monkeypatch):
+    from prelie import rota_baxter
+
+    def refuse(*args):
+        raise AssertionError("equations built for a refused scan")
+
+    monkeypatch.setattr(rota_baxter, "_rb_equations", refuse)
+    for A in (apex_algebra(Q, 2), apex_algebra(GF3, 60)):
+        with pytest.raises(CapError):
+            enumerate_rb_operators(A, A.field.one)
+
+
 # --------------------------------------------------- definition vs residuals
 
 def test_residuals_match_definition_exhaustive_dim2_gf3():

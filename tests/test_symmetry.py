@@ -80,7 +80,8 @@ def test_frozen_automorphism_count_dim3_gf3():
 @pytest.mark.parametrize("F,n", [(GF3, 2), (GF3, 3), (GF5, 2)],
                          ids=["gf3-n2", "gf3-n3", "gf5-n2"])
 def test_automorphisms_are_embedded_orthogonal(F, n):
-    rep = automorphism_orthogonal_correspondence(apex_algebra(F, n))
+    A = apex_algebra(F, n)
+    rep = automorphism_orthogonal_correspondence(A, enumerate_automorphisms(A))
     assert rep.ok
     assert rep.details["automorphisms"] == rep.details["orthogonal"]
 
@@ -119,6 +120,19 @@ def test_derivation_skew_correspondence():
         assert rep.ok
         assert rep.details["dim"] == (n - 1) * (n - 2) // 2
         assert rep.details["block_shapes"] is True
+
+
+def test_correspondence_computes_the_derivation_algebra_once(monkeypatch):
+    from prelie import symmetry
+    compute, calls = symmetry.derivation_algebra, []
+
+    def counting(A):
+        calls.append(A)
+        return compute(A)
+
+    monkeypatch.setattr(symmetry, "derivation_algebra", counting)
+    assert derivation_skew_correspondence(apex_algebra(Q, 4)).ok
+    assert len(calls) == 1
 
 
 def test_derivations_closed_under_commutator():
@@ -201,12 +215,25 @@ def test_enumerate_automorphisms_cap():
         enumerate_automorphisms(apex_algebra(GF5, 4), cap=1000)
 
 
+def test_enumeration_refuses_before_building_equations(monkeypatch):
+    from prelie import symmetry
+
+    def refuse(*args):
+        raise AssertionError("equations built for a refused scan")
+
+    monkeypatch.setattr(symmetry, "_product_equations", refuse)
+    for A in (apex_algebra(Q, 2), apex_algebra(GF3, 60)):
+        with pytest.raises(CapError):
+            enumerate_automorphisms(A)
+
+
 def test_workers_do_not_change_results():
     A = apex_algebra(GF3, 2)
     assert enumerate_automorphisms(A, workers=1) == \
         enumerate_automorphisms(A, workers=2)
-    rep = automorphism_orthogonal_correspondence(apex_algebra(GF3, 3),
-                                                 workers=2)
+    A = apex_algebra(GF3, 3)
+    rep = automorphism_orthogonal_correspondence(
+        A, enumerate_automorphisms(A, workers=2))
     assert rep.ok
 
 
