@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg as la
-from .errors import CapError, DimensionError, FalsificationError
-from .fields import Field, FieldError
+from .errors import DimensionError, FalsificationError
+from .fields import Field, FieldError, make_field
 from .linalg import Matrix, Subspace, Vector
 from .polyring import PolyRing
 from .reports import CheckReport
@@ -122,9 +122,8 @@ class Algebra:
         return {"field": F.descriptor(), "dim": self.dim, "table": quads}
 
     @classmethod
-    def from_json(cls, data: dict, field: Field | None = None) -> "Algebra":
-        from .fields import make_field
-        F = field if field is not None else make_field(data["field"])
+    def from_json(cls, data: dict) -> "Algebra":
+        F = make_field(data["field"])
         dim = int(data["dim"])
         table: dict = {}
         for quad in data["table"]:
@@ -433,10 +432,7 @@ def _check_exhaustive(A: Algebra, kind: str, cap: int) -> CheckReport:
     F = A.field
     n = A.dim
     arity = 2 if kind == "flexible" else 1
-    if not F.is_finite:
-        raise CapError("exhaustive identity check requires a finite field")
-    if F.order ** (n * arity) > cap:
-        raise CapError(f"{F.order}^{n * arity} evaluations exceed cap {cap}")
+    la.check_cap(F, n * arity, "evaluations", cap)
     vectors = list(la.enumerate_vectors(F, n, cap=cap))
     mul = A.multiply
     if kind == "flexible":
@@ -560,13 +556,13 @@ def ideal_closure(A: Algebra, seed: Subspace) -> Subspace:
 def is_simple(A: Algebra, cap: int = 10 ** 6) -> CheckReport:
     """Simplicity over a finite field: nonzero product and no proper ideal.
 
-    Walks one representative per scalar class of nonzero vectors; the ideal
-    generated by any single vector of a proper ideal is still proper, so
-    this is exhaustive.  Witness on failure: a proper nonzero ideal.
+    Walks one representative per scalar class of nonzero vectors (which
+    `la.enumerate_projective` refuses over an infinite field or past `cap`);
+    the ideal generated by any single vector of a proper ideal is still
+    proper, so this is exhaustive.  Witness on failure: a proper nonzero
+    ideal.
     """
     F = A.field
-    if not F.is_finite:
-        raise CapError("simplicity enumeration requires a finite field")
     if not A.table:
         return CheckReport(False, witness="zero multiplication",
                            details={"reason": "A*A = 0"})

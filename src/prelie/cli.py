@@ -335,11 +335,6 @@ def _add_algebra_flags(p: argparse.ArgumentParser) -> None:
                                    "algebra-file descriptor")
     p.add_argument("--marked", help="comma-separated scalar literals for "
                                     "family ex1")
-    p.add_argument("--cap", type=int, default=10 ** 7,
-                   help="abort enumerations larger than this")
-    p.add_argument("--workers", type=_at_least(1), default=1,
-                   help="processes for exhaustive scans (at least 1; "
-                        "capped at the CPU count)")
     p.add_argument("--out", help="also write the JSON output to this file")
 
 
@@ -412,12 +407,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fields", default="q,qi,gf3,gf5",
                    help="comma-separated field specs")
     p.add_argument("--max-n", type=_at_least(2), default=4, dest="max_n")
-    p.add_argument("--cap", type=int, default=10 ** 7)
-    p.add_argument("--workers", type=_at_least(1), default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="also write the report to this file")
     p.set_defaults(fn=cmd_verify_theorems)
 
+    scans = ("automorphisms", "rb-enumerate", "rb-index", "verify-theorems")
+    for name in scans + ("check-identity", "simplicity", "decompose"):
+        sub.choices[name].add_argument(
+            "--cap", type=int, default=10 ** 7,
+            help="abort enumerations larger than this")
+    for name in scans:
+        sub.choices[name].add_argument(
+            "--workers", type=_at_least(1), default=1,
+            help="processes for exhaustive scans (at least 1; capped at the "
+                 "CPU count)")
     return top
 
 

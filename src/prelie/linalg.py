@@ -20,15 +20,16 @@ Vector = tuple
 Matrix = tuple
 
 __all__ = [
-    "Subspace", "basis_vector", "column_space", "decode_matrix", "dot",
-    "enumerate_matrices", "enumerate_projective", "enumerate_subspaces",
-    "enumerate_vectors", "gram_matrix", "identity_matrix", "intersect",
-    "is_direct_sum", "is_invertible", "is_lagrangian", "is_orthogonal",
-    "is_skew_symmetric", "is_zero_matrix", "is_zero_vector", "kernel",
-    "mat_add", "mat_mul", "mat_scale", "mat_sub", "mat_vec",
-    "matrix_from_json", "matrix_sort_key", "random_matrix", "random_vector",
-    "rref", "solve", "span", "subspace_sum", "trace", "transpose", "vadd",
-    "vneg", "vscale", "vsub", "zero_matrix", "zero_vector",
+    "Subspace", "basis_vector", "check_cap", "column_space", "decode_matrix",
+    "dot", "enumerate_matrices", "enumerate_projective",
+    "enumerate_subspaces", "enumerate_vectors", "gram_matrix",
+    "identity_matrix", "intersect", "is_direct_sum", "is_invertible",
+    "is_lagrangian", "is_orthogonal", "is_skew_symmetric", "is_zero_matrix",
+    "is_zero_vector", "kernel", "mat_add", "mat_mul", "mat_scale", "mat_sub",
+    "mat_vec", "matrix_from_json", "matrix_sort_key", "random_matrix",
+    "random_vector", "rref", "solve", "span", "subspace_sum", "trace",
+    "transpose", "vadd", "vneg", "vscale", "vsub", "zero_matrix",
+    "zero_vector",
 ]
 
 
@@ -263,12 +264,13 @@ def intersect(W1: Subspace, W2: Subspace) -> Subspace:
 
 
 def is_direct_sum(W1: Subspace, W2: Subspace, ambient_dim: int) -> bool:
+    """F^ambient_dim is the direct sum of W1 and W2: their sum is the whole
+    space and they meet only in 0.  No intersection is computed, since by
+    dim(W1 + W2) = dim W1 + dim W2 - dim(W1 ∩ W2) a sum of dimension
+    dim W1 + dim W2 = ambient_dim already forces W1 ∩ W2 = 0."""
     _check_same_ambient(W1, W2)
-    if W1.ambient != ambient_dim:
-        return False
-    total = subspace_sum(W1, W2)
-    return (total.dim == W1.dim + W2.dim == ambient_dim
-            and intersect(W1, W2).dim == 0)
+    return (W1.ambient == ambient_dim == W1.dim + W2.dim
+            and subspace_sum(W1, W2).dim == ambient_dim)
 
 
 def _check_same_ambient(W1: Subspace, W2: Subspace) -> None:
@@ -291,24 +293,26 @@ def is_lagrangian(W: Subspace) -> bool:
 
 # ------------------------------------------------------------- enumeration
 
-def _finite_elements(F: Field) -> list[Scalar]:
+def check_cap(F: Field, k: int, kind: str, cap: int) -> None:
+    """The one rule every enumeration obeys: refuse, with CapError, to
+    enumerate over an infinite field, or to enumerate q^k objects of `kind`
+    when q^k exceeds `cap`.  The error names the count and the kind."""
     if not F.is_finite:
-        raise CapError("enumeration requires a finite field")
-    return list(F.elements())
+        raise CapError(f"enumerating {kind} requires a finite field")
+    count = F.order ** k
+    if count > cap:
+        raise CapError(f"{count} {kind} exceed cap {cap}")
 
 
 def enumerate_vectors(F: Field, n: int, cap: int = 10 ** 6) -> Iterator[Vector]:
-    elems = _finite_elements(F)
-    if F.order ** n > cap:
-        raise CapError(f"{F.order}^{n} vectors exceed cap {cap}")
-    return product(elems, repeat=n)  # type: ignore[return-value]
+    check_cap(F, n, "vectors", cap)
+    return product(F.elements(), repeat=n)  # type: ignore[return-value]
 
 
 def enumerate_projective(F: Field, n: int, cap: int = 10 ** 6) -> Iterator[Vector]:
     """One representative per scalar class of nonzero vectors (leading 1)."""
-    elems = _finite_elements(F)
-    if F.order ** n > cap:
-        raise CapError(f"{F.order}^{n} vectors exceed cap {cap}")
+    check_cap(F, n, "vectors", cap)
+    elems = list(F.elements())
     for lead in range(n):
         head = (F.zero,) * lead + (F.one,)
         for tail in product(elems, repeat=n - lead - 1):
@@ -317,38 +321,32 @@ def enumerate_projective(F: Field, n: int, cap: int = 10 ** 6) -> Iterator[Vecto
 
 def enumerate_matrices(F: Field, rows: int, cols: int,
                        cap: int = 10 ** 7) -> Iterator[Matrix]:
-    elems = _finite_elements(F)
-    if F.order ** (rows * cols) > cap:
-        raise CapError(f"{F.order}^{rows * cols} matrices exceed cap {cap}")
-    for flat in product(elems, repeat=rows * cols):
+    check_cap(F, rows * cols, "matrices", cap)
+    for flat in product(F.elements(), repeat=rows * cols):
         yield tuple(flat[r * cols:(r + 1) * cols] for r in range(rows))
 
 
-def enumerate_subspaces(F: Field, n: int, dim: int | None = None,
+def enumerate_subspaces(F: Field, n: int,
                         cap: int = 10 ** 6) -> Iterator[Subspace]:
     """All subspaces of F^n as canonical RREF bases, by dimension then pivots.
 
     Yields each subspace exactly once: choose pivot columns, then fill the
     free entries (right of each pivot, outside pivot columns) in all ways.
+    `cap` bounds the fillings of each choice of pivots.
     """
-    elems = _finite_elements(F)
-    dims = range(n + 1) if dim is None else [dim]
-    for k in dims:
-        if k == 0:
-            yield Subspace(F, n, ())
-            continue
-        for pivots in combinations(range(n), k):
-            free = [(r, c) for r in range(k) for c in range(n)
-                    if c > pivots[r] and c not in pivots]
-            if F.order ** len(free) > cap:
-                raise CapError(f"{F.order}^{len(free)} fillings exceed cap {cap}")
-            for fill in product(elems, repeat=len(free)):
-                rows = [[F.zero] * n for _ in range(k)]
-                for r, p in enumerate(pivots):
-                    rows[r][p] = F.one
-                for (r, c), v in zip(free, fill):
-                    rows[r][c] = v
-                yield Subspace(F, n, tuple(tuple(r) for r in rows))
+    patterns = [(pivots, [(r, c) for r in range(k) for c in range(n)
+                          if c > pivots[r] and c not in pivots])
+                for k in range(n + 1) for pivots in combinations(range(n), k)]
+    check_cap(F, max(len(free) for _, free in patterns), "fillings", cap)
+    elems = list(F.elements())
+    for pivots, free in patterns:
+        for fill in product(elems, repeat=len(free)):
+            rows = [[F.zero] * n for _ in pivots]
+            for r, p in enumerate(pivots):
+                rows[r][p] = F.one
+            for (r, c), v in zip(free, fill):
+                rows[r][c] = v
+            yield Subspace(F, n, tuple(tuple(r) for r in rows))
 
 
 def decode_matrix(F: Field, rows: int, cols: int, index: int,
@@ -359,7 +357,7 @@ def decode_matrix(F: Field, rows: int, cols: int, index: int,
     that different workers can decode independently.
     """
     if elems is None:
-        elems = _finite_elements(F)
+        elems = list(F.elements())
     q = len(elems)
     k = rows * cols
     flat = [elems[0]] * k

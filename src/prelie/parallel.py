@@ -39,7 +39,6 @@ from multiprocessing import Pipe, util
 
 from . import linalg as la
 from .algebras import Algebra
-from .errors import CapError
 
 __all__ = ["check_scan", "pool_size", "run_chunks", "scan_matrices",
            "split_ranges"]
@@ -177,16 +176,11 @@ def run_chunks(chunk_fn, common_args: tuple, total: int, workers: int = 1) -> li
 
 
 def check_scan(A: Algebra, cap: int) -> None:
-    """Refuse a scan over an infinite field, or one whose q^(dim^2) matrices
-    or q^2 field table entries exceed `cap`, before its equations cost."""
-    F = A.field
-    if not F.is_finite:
-        raise CapError("exhaustive matrix scans require a finite field")
-    total = F.order ** (A.dim * A.dim)
-    if total > cap:
-        raise CapError(f"{total} candidate matrices exceed cap {cap}")
-    if F.order ** 2 > cap:
-        raise CapError(f"{F.order ** 2} field table entries exceed cap {cap}")
+    """Refuse, by `la.check_cap`, a scan over an infinite field, or one whose
+    q^(dim^2) matrices or q^2 field table entries exceed `cap`, before its
+    equations cost."""
+    la.check_cap(A.field, A.dim * A.dim, "candidate matrices", cap)
+    la.check_cap(A.field, 2, "field table entries", cap)
 
 
 def scan_matrices(A: Algebra, equations: list, leaf=None,

@@ -173,7 +173,6 @@ def splitting_operator(A: Algebra, part1: Subspace, part2: Subspace,
     Rejects inputs that are not subalgebras or not a direct sum, naming a
     product that leaves the part or the dimension defect.
     """
-    F = A.field
     for label, part in (("part1", part1), ("part2", part2)):
         rep = is_subalgebra(A, part)
         if not rep:
@@ -186,6 +185,13 @@ def splitting_operator(A: Algebra, part1: Subspace, part2: Subspace,
             f"not a direct sum: dims {part1.dim} + {part2.dim} with "
             f"intersection of dim {la.intersect(part1, part2).dim} "
             f"in ambient {A.dim}")
+    return _projection(A, part1, part2, weight)
+
+
+def _projection(A: Algebra, part1: Subspace, part2: Subspace,
+                weight: Scalar) -> Matrix:
+    """The operator of `splitting_operator`, for parts already checked."""
+    F = A.field
     rows = part1.basis + part2.basis
     M = la.transpose(rows)
     cols = []
@@ -215,7 +221,7 @@ def splitting_certificate(A: Algebra, R: Matrix,
                "subalgebras": (sub1.ok, sub2.ok), "direct_sum": direct}
     if not (sub1 and sub2 and direct):
         return CheckReport(False, witness=(k1, k2), details=details)
-    rebuilt = splitting_operator(A, k1, k2, weight)
+    rebuilt = _projection(A, k1, k2, weight)
     details["reproduced"] = rebuilt == R
     return CheckReport(details["reproduced"],
                        witness=None if details["reproduced"] else rebuilt,

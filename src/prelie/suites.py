@@ -89,11 +89,15 @@ def _rng_for(config: RunConfig, name: str) -> random.Random:
 
 
 def _resolve_fields(config: RunConfig) -> list[Field]:
+    """The distinct fields of config.fields, in order; none is an error,
+    since a check over no field would pass vacuously."""
     out = []
     for spec in config.fields:
         F = make_field(spec)
         if F not in out:
             out.append(F)
+    if not out:
+        raise ValueError("no field to run the checks over")
     return out
 
 
@@ -118,18 +122,52 @@ def _weights(F: Field, rng: random.Random) -> list:
 
 # ---------------------------------------------------------------- the checks
 
-def _check_pre_lie(config: RunConfig) -> tuple[bool, str | None]:
-    for F in _resolve_fields(config):
-        for n in range(1, config.max_n + 1):
+class _SuiteRun:
+    """One suite run: its config, its fields resolved once, and its
+    complete operator sets, each scanned once.
+
+    `operator_sets()` gives (F, n, w, A, ops) for every scan pair of the
+    config at its weights; `lookup` gives the (A, ops) of any one
+    (F, n, w).  Both read one memo, filled on first use and shared by every
+    check of the run that reads operator sets."""
+
+    def __init__(self, config: RunConfig):
+        self.config = config
+        self.fields = _resolve_fields(config)
+        self._memo = {}
+        self._sets = None
+
+    def lookup(self, F: Field, n: int, w) -> tuple:
+        key = (F, n, w)
+        if key not in self._memo:
+            A = apex_algebra(F, n)
+            self._memo[key] = A, enumerate_rb_operators(
+                A, w, cap=self.config.cap, workers=self.config.workers)
+        return self._memo[key]
+
+    def operator_sets(self):
+        if self._sets is None:
+            config = self.config
+            rng = _rng_for(config, "operator-sets")
+            self._sets = [(F, n, w) + self.lookup(F, n, w)
+                          for F, n in _scan_pairs(self.fields, config.max_n,
+                                                  config.cap)
+                          for w in _weights(F, rng)]
+        return self._sets
+
+
+def _check_pre_lie(run: _SuiteRun) -> tuple[bool, str | None]:
+    for F in run.fields:
+        for n in range(1, run.config.max_n + 1):
             rep = check_identity(apex_algebra(F, n), "pre_lie")
             if not rep.ok:
                 return False, f"{F!r} n={n} basis triple {rep.witness}"
     return True, None
 
 
-def _check_construction(config: RunConfig) -> tuple[bool, str | None]:
-    for F in _resolve_fields(config):
-        for n in range(2, config.max_n + 1):
+def _check_construction(run: _SuiteRun) -> tuple[bool, str | None]:
+    for F in run.fields:
+        for n in range(2, run.config.max_n + 1):
             A = apex_algebra(F, n)
             marked = la.basis_vector(F, n, n - 1)
             if dot_product_algebra(F, marked) != A:
@@ -142,9 +180,9 @@ def _check_construction(config: RunConfig) -> tuple[bool, str | None]:
     return True, None
 
 
-def _check_power_assoc(config: RunConfig) -> tuple[bool, str | None]:
-    for F in _resolve_fields(config):
-        for n in range(2, config.max_n + 1):
+def _check_power_assoc(run: _SuiteRun) -> tuple[bool, str | None]:
+    for F in run.fields:
+        for n in range(2, run.config.max_n + 1):
             A = apex_algebra(F, n)
             e1 = A.basis(0)
             left = A.multiply(A.multiply(e1, e1), e1)
@@ -159,16 +197,16 @@ def _check_power_assoc(config: RunConfig) -> tuple[bool, str | None]:
     return True, None
 
 
-def _check_simplicity(config: RunConfig) -> tuple[bool, str | None]:
-    fields = [F for F in _resolve_fields(config) if F.is_finite]
+def _check_simplicity(run: _SuiteRun) -> tuple[bool, str | None]:
+    fields = [F for F in run.fields if F.is_finite]
     gf2 = make_field("gf2", allow_char2=True)
     if gf2 not in fields:
         fields.append(gf2)
     for F in fields:
-        for n in range(2, config.max_n + 1):
+        for n in range(2, run.config.max_n + 1):
             if F.order ** n > 10 ** 4:
                 continue
-            rep = is_simple(apex_algebra(F, n), cap=config.cap)
+            rep = is_simple(apex_algebra(F, n), cap=run.config.cap)
             if not rep.ok:
                 return False, f"proper ideal over {F!r} at n={n}"
     for m in (2, 3):
@@ -177,9 +215,9 @@ def _check_simplicity(config: RunConfig) -> tuple[bool, str | None]:
     return True, None
 
 
-def _check_derivations(config: RunConfig) -> tuple[bool, str | None]:
-    for F in _resolve_fields(config):
-        for n in range(2, config.max_n + 1):
+def _check_derivations(run: _SuiteRun) -> tuple[bool, str | None]:
+    for F in run.fields:
+        for n in range(2, run.config.max_n + 1):
             rep = derivation_skew_correspondence(apex_algebra(F, n))
             if not rep.ok:
                 return False, f"derivation mismatch at {F!r} n={n}: " \
@@ -187,23 +225,24 @@ def _check_derivations(config: RunConfig) -> tuple[bool, str | None]:
     return True, None
 
 
-def _check_automorphisms(config: RunConfig) -> tuple[bool, str | None]:
+def _check_automorphisms(run: _SuiteRun) -> tuple[bool, str | None]:
     ran = 0
-    for F, n in _scan_pairs(_resolve_fields(config), config.max_n, config.cap):
+    for F, n in _scan_pairs(run.fields, run.config.max_n, run.config.cap):
         A = apex_algebra(F, n)
-        found = enumerate_automorphisms(A, cap=config.cap,
-                                        workers=config.workers)
-        rep = automorphism_orthogonal_correspondence(A, found, cap=config.cap)
+        found = enumerate_automorphisms(A, cap=run.config.cap,
+                                        workers=run.config.workers)
+        rep = automorphism_orthogonal_correspondence(A, found,
+                                                     cap=run.config.cap)
         ran += 1
         if not rep.ok:
             return False, f"group mismatch at {F!r} n={n}: {rep.details}"
     return _covered(ran)
 
 
-def _check_residuals_symmetry(config: RunConfig) -> tuple[bool, str | None]:
-    rng = _rng_for(config, "residuals-symmetry")
-    for F in _resolve_fields(config):
-        for n in range(2, config.max_n + 1):
+def _check_residuals_symmetry(run: _SuiteRun) -> tuple[bool, str | None]:
+    rng = _rng_for(run.config, "residuals-symmetry")
+    for F in run.fields:
+        for n in range(2, run.config.max_n + 1):
             A = apex_algebra(F, n)
             for _ in range(40):
                 M = la.random_matrix(F, n, n, rng)
@@ -218,10 +257,10 @@ def _check_residuals_symmetry(config: RunConfig) -> tuple[bool, str | None]:
     return True, None
 
 
-def _check_residuals_rb(config: RunConfig) -> tuple[bool, str | None]:
-    rng = _rng_for(config, "residuals-rb")
-    for F in _resolve_fields(config):
-        for n in range(2, config.max_n + 1):
+def _check_residuals_rb(run: _SuiteRun) -> tuple[bool, str | None]:
+    rng = _rng_for(run.config, "residuals-rb")
+    for F in run.fields:
+        for n in range(2, run.config.max_n + 1):
             A = apex_algebra(F, n)
             for w in _weights(F, rng):
                 for _ in range(25):
@@ -233,38 +272,6 @@ def _check_residuals_rb(config: RunConfig) -> tuple[bool, str | None]:
     return True, None
 
 
-class _OperatorSets:
-    """The complete operator sets of one suite run, each scanned once.
-
-    Iterating gives (F, n, w, A, ops) for every scan pair of the config at
-    its weights; `lookup` gives the (A, ops) of any one (F, n, w).  Both
-    read one memo, filled on first use and shared by every check of the
-    run that reads operator sets."""
-
-    def __init__(self, config: RunConfig):
-        self.config = config
-        self._memo = {}
-        self._sets = None
-
-    def lookup(self, F: Field, n: int, w) -> tuple:
-        key = (F, n, w)
-        if key not in self._memo:
-            A = apex_algebra(F, n)
-            self._memo[key] = A, enumerate_rb_operators(
-                A, w, cap=self.config.cap, workers=self.config.workers)
-        return self._memo[key]
-
-    def __iter__(self):
-        if self._sets is None:
-            config = self.config
-            rng = _rng_for(config, "operator-sets")
-            self._sets = [(F, n, w) + self.lookup(F, n, w)
-                          for F, n in _scan_pairs(_resolve_fields(config),
-                                                  config.max_n, config.cap)
-                          for w in _weights(F, rng)]
-        return iter(self._sets)
-
-
 def _covered(ran: int) -> tuple[bool, str | None]:
     """The verdict of a scan-backed check that found no violation in `ran`
     cases: a check that examined nothing does not pass."""
@@ -273,9 +280,9 @@ def _covered(ran: int) -> tuple[bool, str | None]:
     return True, None
 
 
-def _check_quadratic_isotropy(sets: _OperatorSets) -> tuple[bool, str | None]:
+def _check_quadratic_isotropy(run: _SuiteRun) -> tuple[bool, str | None]:
     ran = 0
-    for F, n, w, A, ops in sets:
+    for F, n, w, A, ops in run.operator_sets():
         ran += 1
         opset = set(ops)
         zero = la.zero_matrix(F, n, n)
@@ -293,9 +300,9 @@ def _check_quadratic_isotropy(sets: _OperatorSets) -> tuple[bool, str | None]:
     return _covered(ran)
 
 
-def _check_case_analysis(sets: _OperatorSets) -> tuple[bool, str | None]:
+def _check_case_analysis(run: _SuiteRun) -> tuple[bool, str | None]:
     ran = 0
-    for F, n, w, A, ops in sets:
+    for F, n, w, A, ops in run.operator_sets():
         ran += 1
         for R in ops:
             rep = classify_case(A, R, w)  # raises on broken invariants
@@ -305,9 +312,9 @@ def _check_case_analysis(sets: _OperatorSets) -> tuple[bool, str | None]:
     return _covered(ran)
 
 
-def _check_splitting(sets: _OperatorSets) -> tuple[bool, str | None]:
+def _check_splitting(run: _SuiteRun) -> tuple[bool, str | None]:
     ran = 0
-    for F, n, w, A, ops in sets:
+    for F, n, w, A, ops in run.operator_sets():
         if F.is_zero(w):
             continue
         ran += 1
@@ -319,15 +326,15 @@ def _check_splitting(sets: _OperatorSets) -> tuple[bool, str | None]:
     return _covered(ran)
 
 
-def _check_decompositions(config: RunConfig) -> tuple[bool, str | None]:
+def _check_decompositions(run: _SuiteRun) -> tuple[bool, str | None]:
     ran = 0
-    for F in _finite_odd(_resolve_fields(config)):
+    for F in _finite_odd(run.fields):
         if F.order > 5:
             continue
         ran += 1
         A = apex_algebra(F, 2)
         w = F.one
-        for rec in enumerate_decompositions(A, cap=config.cap):
+        for rec in enumerate_decompositions(A, cap=run.config.cap):
             R = splitting_operator(A, rec["part1"], rec["part2"], w)
             if not is_rb_operator(A, R, w).ok:
                 return False, f"decomposition over {F!r} builds a " \
@@ -336,9 +343,9 @@ def _check_decompositions(config: RunConfig) -> tuple[bool, str | None]:
     return _covered(ran)
 
 
-def _check_index(sets: _OperatorSets) -> tuple[bool, str | None]:
+def _check_index(run: _SuiteRun) -> tuple[bool, str | None]:
     ran = 0
-    for F, n, w, A, ops in sets:
+    for F, n, w, A, ops in run.operator_sets():
         ran += 1
         idx = rb_index(A, w, ops)
         if idx is None or idx > 2:
@@ -350,10 +357,10 @@ def _check_index(sets: _OperatorSets) -> tuple[bool, str | None]:
     return _covered(ran)
 
 
-def _check_rational(config: RunConfig) -> tuple[bool, str | None]:
+def _check_rational(run: _SuiteRun) -> tuple[bool, str | None]:
     Fq = make_field("q")
-    rng = _rng_for(config, "rational-triviality")
-    n = min(config.max_n, 3)
+    rng = _rng_for(run.config, "rational-triviality")
+    n = min(run.config.max_n, 3)
     A = apex_algebra(Fq, n)
     w = Fq.one
     for _ in range(200):
@@ -372,13 +379,13 @@ def _check_rational(config: RunConfig) -> tuple[bool, str | None]:
     return True, None
 
 
-def _check_field_contrast(sets: _OperatorSets) -> tuple[bool, str | None]:
+def _check_field_contrast(run: _SuiteRun) -> tuple[bool, str | None]:
     """Operator existence depends on quadratic solvability: x^2 = -1 has
     roots over GF(5) but not GF(3), and the dim-2 weight-1 operator sets
     differ accordingly."""
     gf3, gf5 = make_field("gf3"), make_field("gf5")
-    few = sets.lookup(gf3, 2, gf3.one)[1]
-    many = sets.lookup(gf5, 2, gf5.one)[1]
+    few = run.lookup(gf3, 2, gf3.one)[1]
+    many = run.lookup(gf5, 2, gf5.one)[1]
     if len(few) != 2 or not all(is_trivial_operator(gf3, R, gf3.one)
                                 for R in few):
         return False, f"GF(3) set has {len(few)} operators"
@@ -387,7 +394,7 @@ def _check_field_contrast(sets: _OperatorSets) -> tuple[bool, str | None]:
     return True, None
 
 
-def _check_example_column(config: RunConfig) -> tuple[bool, str | None]:
+def _check_example_column(run: _SuiteRun) -> tuple[bool, str | None]:
     qi = make_field("qi")
     gf5 = make_field("gf5")
     for F in (qi, gf5):
@@ -407,7 +414,7 @@ def _check_example_column(config: RunConfig) -> tuple[bool, str | None]:
     return True, None
 
 
-def _check_example_skew(config: RunConfig) -> tuple[bool, str | None]:
+def _check_example_skew(run: _SuiteRun) -> tuple[bool, str | None]:
     qi = make_field("qi")
     gf13 = make_field("gf13")
     for F in (qi, gf13):
@@ -428,7 +435,7 @@ def _check_example_skew(config: RunConfig) -> tuple[bool, str | None]:
     return True, None
 
 
-def _check_example_line(config: RunConfig) -> tuple[bool, str | None]:
+def _check_example_line(run: _SuiteRun) -> tuple[bool, str | None]:
     for spec in ("qi", "gf5"):
         F = make_field(spec)
         A = apex_algebra(F, 2)
@@ -447,13 +454,13 @@ def _check_example_line(config: RunConfig) -> tuple[bool, str | None]:
     return True, None
 
 
-def _check_unital_lifts(sets: _OperatorSets) -> tuple[bool, str | None]:
+def _check_unital_lifts(run: _SuiteRun) -> tuple[bool, str | None]:
     gf3 = make_field("gf3")
     A = apex_algebra(gf3, 3)
     U = unital_extension(A)
     if not check_identity(U, "pre_lie").ok:
         return False, "unital extension is not left-symmetric"
-    for Q in enumerate_orthogonal(gf3, 2, cap=sets.config.cap):
+    for Q in enumerate_orthogonal(gf3, 2, cap=run.config.cap):
         phi = embed_orthogonal(gf3, Q, 3)
         lift = _embed(gf3, phi, gf3.one)
         if not is_automorphism(U, lift).ok:
@@ -463,15 +470,15 @@ def _check_unital_lifts(sets: _OperatorSets) -> tuple[bool, str | None]:
     if not is_derivation(U, _embed(gf3, d, gf3.zero)).ok:
         return False, "derivation lift fails"
     for w in gf3.elements():
-        for R in sets.lookup(gf3, 3, w)[1]:
+        for R in run.lookup(gf3, 3, w)[1]:
             if not is_rb_operator(U, _embed(gf3, R, gf3.zero), w).ok:
                 return False, f"operator lift fails at w={gf3.format(w)}: {R}"
     return True, None
 
 
-def _check_anticommutator(config: RunConfig) -> tuple[bool, str | None]:
+def _check_anticommutator(run: _SuiteRun) -> tuple[bool, str | None]:
     gf9 = make_field("gf9")
-    for F in _finite_odd(_resolve_fields(config)) + [gf9]:
+    for F in _finite_odd(run.fields) + [gf9]:
         for n in (2, 3):
             if F.order ** n > 10 ** 4:
                 continue
@@ -491,9 +498,9 @@ def _check_anticommutator(config: RunConfig) -> tuple[bool, str | None]:
     return True, None
 
 
-def _check_truncations(config: RunConfig) -> tuple[bool, str | None]:
-    for F in _resolve_fields(config):
-        for m in range(1, config.max_n):
+def _check_truncations(run: _SuiteRun) -> tuple[bool, str | None]:
+    for F in run.fields:
+        for m in range(1, run.config.max_n):
             T = infinite_truncation_algebra(F, m)
             perm = (m,) + tuple(range(m))
             if permute_basis(T, perm) != apex_algebra(F, m + 1):
@@ -588,19 +595,13 @@ _CHECKS = {
 }
 
 
-# The checks that read the run's shared operator sets, not its config.
-_ON_OPERATOR_SETS = {_check_quadratic_isotropy, _check_case_analysis,
-                     _check_splitting, _check_index, _check_field_contrast,
-                     _check_unital_lifts}
-
-
 def run_suite(suite: str, config: RunConfig | None = None) -> dict:
     """Run one suite (or "all") and return the report dict."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from "
                          f"{', '.join(SUITES)}")
     config = config or RunConfig()
-    operator_sets = _OperatorSets(config)
+    run = _SuiteRun(config)
     names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
     records: list[CheckRecord] = []
     started = time.perf_counter()
@@ -608,8 +609,7 @@ def run_suite(suite: str, config: RunConfig | None = None) -> dict:
         for name, claim, fn in _CHECKS[s]:
             t0 = time.perf_counter()
             try:
-                ok, witness = fn(operator_sets if fn in _ON_OPERATOR_SETS
-                                 else config)
+                ok, witness = fn(run)
             except Exception as exc:  # honest red: a crash is a failure
                 ok, witness = False, f"{type(exc).__name__}: {exc}"
             records.append(CheckRecord(name, claim, ok, witness,

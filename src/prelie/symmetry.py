@@ -84,25 +84,26 @@ def is_derivation(A: Algebra, d: Matrix) -> CheckReport:
 
 def derivation_algebra(A: Algebra) -> Subspace:
     """All derivations of A, as a subspace of F^(dim^2) (matrices flattened
-    row-major).  Kernel of the linear system the Leibniz rule induces."""
+    row-major).
+
+    The identity E solves the product equations of `_product_equations`,
+    and d is a derivation exactly when E + t d preserves products to first
+    order in t.  So the Leibniz system is the linear part of those
+    equations at E, and its kernel is the answer: a monomial gives its
+    coefficient to d_u for each of its variables x_u whose other variables
+    are diagonal entries, the entries that E sets to 1.
+    """
     F = A.field
     n = A.dim
     rows = []
-    for i in range(n):
-        for j in range(n):
-            prod = A.basis_product(i, j)
-            for k in range(n):
-                row = [F.zero] * (n * n)
-                for m in range(n):
-                    # d(e_i e_j) contributes c_ij^m d_km
-                    row[k * n + m] = F.add(row[k * n + m], prod[m])
-                    # d(e_i) e_j contributes -d_mi c_mj^k
-                    row[m * n + i] = F.sub(row[m * n + i],
-                                           A.basis_product(m, j)[k])
-                    # e_i d(e_j) contributes -d_mj c_im^k
-                    row[m * n + j] = F.sub(row[m * n + j],
-                                           A.basis_product(i, m)[k])
-                rows.append(tuple(row))
+    for eq in _product_equations(A):
+        row = [F.zero] * (n * n)
+        for c, mono in eq:
+            for t, u in enumerate(mono):
+                # entry k * n + m is diagonal when k == m
+                if all(v % (n + 1) == 0 for v in mono[:t] + mono[t + 1:]):
+                    row[u] = F.add(row[u], c)
+        rows.append(tuple(row))
     return la.kernel(F, tuple(rows), ncols=n * n)
 
 

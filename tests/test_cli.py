@@ -442,6 +442,16 @@ def test_unknown_field_is_usage_error(capsys):
     assert "gf11x" in err
 
 
+@pytest.mark.parametrize("fields", [",", "foo", "gf2"])
+def test_bad_fields_are_one_usage_error_and_no_report(capsys, fields):
+    code, out, err = run_cli(capsys, "verify-theorems", "--suite", "all",
+                             f"--fields={fields}")
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1
+    assert "Traceback" not in err
+
+
 def test_unwritable_out_path_is_usage_error(capsys, tmp_path):
     path = str(tmp_path / "missing" / "x.json")
     code, out, err = run_cli(capsys, "build", "--n", "2", "--field", "gf5",
@@ -532,6 +542,18 @@ def test_unknown_suite_rejected_by_parser(capsys):
     assert exc.value.code == 2
 
 
+# Commands without --workers, each with the arguments it requires.
+WITHOUT_WORKERS = {
+    "build": ["--n", "2", "--field", "gf3"],
+    "check-identity": ["--n", "2", "--field", "gf3", "--kind", "pre_lie"],
+    "simplicity": ["--n", "2", "--field", "gf3"],
+    "derivations": ["--n", "2", "--field", "gf3"],
+    "rb-verify": ["--n", "2", "--field", "gf3", "--op", "op.json",
+                  "--weight", "1"],
+    "decompose": ["--n", "2", "--field", "gf3"],
+}
+
+
 @pytest.mark.parametrize("command", ["build", "check-identity",
                                      "simplicity", "derivations",
                                      "automorphisms", "rb-verify",
@@ -540,10 +562,26 @@ def test_unknown_suite_rejected_by_parser(capsys):
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_workers_below_one_is_usage_error(capsys, command, workers):
     with pytest.raises(SystemExit) as exc:
-        main([command, "--workers", workers])
+        main([command, *WITHOUT_WORKERS.get(command, []),
+              "--workers", workers])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "--workers" in err and "at least 1" in err
+    expected = (f"unrecognized arguments: --workers {workers}"
+                if command in WITHOUT_WORKERS else "at least 1")
+    assert "--workers" in err and expected in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,flag", [
+    *((command, "--workers") for command in WITHOUT_WORKERS),
+    ("build", "--cap"), ("derivations", "--cap"), ("rb-verify", "--cap"),
+])
+def test_flags_a_command_never_reads_are_usage_errors(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *WITHOUT_WORKERS[command], flag, "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} 2" in err
     assert "Traceback" not in err
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from prelie.algebras import Algebra, apex_algebra
+from prelie.algebras import Algebra, apex_algebra, is_subalgebra
 from prelie.errors import CapError, DimensionError, FalsificationError
 from prelie.fields import (FieldError, PrimeField, QuadraticField,
                            RationalField, make_field)
@@ -247,6 +247,28 @@ def test_splitting_certificate_needs_nonzero_weight():
     with pytest.raises(ValueError):
         splitting_certificate(I3_3, tuple((GF3.zero,) * 3 for _ in range(3)),
                               GF3.zero)
+
+
+def test_splitting_certificate_tests_each_kernel_once(monkeypatch):
+    from prelie import rota_baxter
+    calls = []
+
+    def counted(A, W):
+        calls.append(W)
+        return is_subalgebra(A, W)
+
+    monkeypatch.setattr(rota_baxter, "is_subalgebra", counted)
+    assert splitting_certificate(I2_5, ((0, 0), (2, 4)), 1).ok
+    assert len(calls) == 2
+
+
+def test_splitting_certificate_refuses_kernels_that_miss_the_space():
+    # ker(E) = ker(E + E) = 0: both kernels are subalgebras, but they do not
+    # add up to the space, so there is nothing to project onto.
+    rep = splitting_certificate(I3_3, identity_matrix(GF3, 3), 1)
+    assert not rep.ok
+    assert rep.details == {"kernel_dim": 0, "shifted_kernel_dim": 0,
+                           "subalgebras": (True, True), "direct_sum": False}
 
 
 def test_splitting_operator_from_parts():

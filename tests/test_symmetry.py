@@ -10,12 +10,14 @@ import random
 
 import pytest
 
-from prelie.algebras import apex_algebra, minus_algebra, upper_triangular_algebra
+from prelie.algebras import (Algebra, apex_algebra, minus_algebra,
+                             upper_triangular_algebra)
 from prelie.errors import CapError, DimensionError
 from prelie.fields import PrimeField, QuadraticField, RationalField
-from prelie.linalg import (identity_matrix, is_invertible, is_orthogonal,
-                           is_skew_symmetric, mat_mul, mat_sub, mat_vec,
-                           matrix_sort_key, random_matrix, span)
+from prelie.linalg import (enumerate_matrices, identity_matrix,
+                           is_invertible, is_orthogonal, is_skew_symmetric,
+                           mat_mul, mat_sub, mat_vec, matrix_sort_key,
+                           random_matrix, span)
 from prelie.symmetry import (automorphism_orthogonal_correspondence,
                              automorphism_residual_report,
                              automorphism_residuals,
@@ -133,6 +135,21 @@ def test_correspondence_computes_the_derivation_algebra_once(monkeypatch):
     monkeypatch.setattr(symmetry, "derivation_algebra", counting)
     assert derivation_skew_correspondence(apex_algebra(Q, 4)).ok
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("F,n", [(GF3, 1), (GF3, 2), (GF3, 3), (GF5, 1),
+                                 (GF5, 2)])
+def test_derivation_algebra_matches_brute_force_on_random_tables(F, n):
+    rng = random.Random(f"{F!r}/{n}")
+    # Sparse tables, so that most have derivations to get wrong.
+    for density in (0.1, 0.2, 0.3) if n == 3 else (0.1, 0.2, 0.3) * 3:
+        table = {(i, j, k): F.random(rng) for i in range(n)
+                 for j in range(n) for k in range(n)
+                 if rng.random() < density}
+        A = Algebra(F, n, table)
+        found = [sum(M, ()) for M in enumerate_matrices(F, n, n)
+                 if is_derivation(A, M).ok]
+        assert derivation_algebra(A) == span(F, n * n, found)
 
 
 def test_derivations_closed_under_commutator():
