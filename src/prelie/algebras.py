@@ -17,6 +17,7 @@ truncation of the same table with the apex in front.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from . import linalg as la
 from .errors import DimensionError, FalsificationError
@@ -433,21 +434,19 @@ def _check_exhaustive(A: Algebra, kind: str, cap: int) -> CheckReport:
     n = A.dim
     arity = 2 if kind == "flexible" else 1
     la.check_cap(F, n * arity, "evaluations", cap)
-    vectors = list(la.enumerate_vectors(F, n, cap=cap))
     mul = A.multiply
-    if kind == "flexible":
-        for x in vectors:
-            for y in vectors:
-                if mul(mul(x, y), x) != mul(x, mul(y, x)):
-                    return CheckReport(False, witness=(x, y),
-                                       details={"kind": kind, "method": "exhaustive"})
-    else:
-        for x in vectors:
+    details = {"kind": kind, "method": "exhaustive"}
+    # x-major over (x, y): the witness is the first bad x, then its first y
+    for point in product(F.elements(), repeat=n * arity):
+        x, y = point[:n], point[n:]
+        if kind == "flexible":
+            bad = mul(mul(x, y), x) != mul(x, mul(y, x))
+        else:
             xx = mul(x, x)
-            if mul(xx, x) != mul(x, xx):
-                return CheckReport(False, witness=(x,),
-                                   details={"kind": kind, "method": "exhaustive"})
-    return CheckReport(True, details={"kind": kind, "method": "exhaustive"})
+            bad = mul(xx, x) != mul(x, xx)
+        if bad:
+            return CheckReport(False, witness=(x, y)[:arity], details=details)
+    return CheckReport(True, details=details)
 
 
 def check_identity(A: Algebra, kind: str, exhaustive: bool = False,

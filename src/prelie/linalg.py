@@ -332,21 +332,22 @@ def enumerate_subspaces(F: Field, n: int,
 
     Yields each subspace exactly once: choose pivot columns, then fill the
     free entries (right of each pivot, outside pivot columns) in all ways.
-    `cap` bounds the fillings of each choice of pivots.
+    `cap` bounds the fillings of each choice of pivots; the most any choice
+    has, q^(k(n-k)) at k = n // 2, is checked before anything is built.
     """
-    patterns = [(pivots, [(r, c) for r in range(k) for c in range(n)
-                          if c > pivots[r] and c not in pivots])
-                for k in range(n + 1) for pivots in combinations(range(n), k)]
-    check_cap(F, max(len(free) for _, free in patterns), "fillings", cap)
+    check_cap(F, (n // 2) * ((n + 1) // 2), "fillings", cap)
     elems = list(F.elements())
-    for pivots, free in patterns:
-        for fill in product(elems, repeat=len(free)):
-            rows = [[F.zero] * n for _ in pivots]
-            for r, p in enumerate(pivots):
-                rows[r][p] = F.one
-            for (r, c), v in zip(free, fill):
-                rows[r][c] = v
-            yield Subspace(F, n, tuple(tuple(r) for r in rows))
+    for k in range(n + 1):
+        for pivots in combinations(range(n), k):
+            free = [(r, c) for r in range(k) for c in range(n)
+                    if c > pivots[r] and c not in pivots]
+            for fill in product(elems, repeat=len(free)):
+                rows = [[F.zero] * n for _ in pivots]
+                for r, p in enumerate(pivots):
+                    rows[r][p] = F.one
+                for (r, c), v in zip(free, fill):
+                    rows[r][c] = v
+                yield Subspace(F, n, tuple(tuple(r) for r in rows))
 
 
 def decode_matrix(F: Field, rows: int, cols: int, index: int,

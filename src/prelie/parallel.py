@@ -184,15 +184,15 @@ def check_scan(A: Algebra, cap: int) -> None:
 
 
 def scan_matrices(A: Algebra, equations: list, leaf=None,
-                  cap: int = 10 ** 7, workers: int = 1) -> list:
+                  workers: int = 1) -> list:
     """Every dim x dim matrix M over the finite field of A that solves
     `equations` and passes leaf(F, M), if given, in canonical order.
 
     An equation is a list of (coefficient, monomial) terms summing to zero
     in the dim^2 entries of M (entry (k, m) is variable k * dim + m, and a
-    monomial is the tuple of its variables); `cap` is as in `check_scan`.
+    monomial is the tuple of its variables).  Callers refuse oversized
+    scans with `check_scan` first, before they build the equations.
     """
-    check_scan(A, cap)
     F = A.field
     order = _search_order(A.dim * A.dim, equations)
     processes = pool_size(workers)

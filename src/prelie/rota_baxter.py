@@ -342,8 +342,7 @@ def enumerate_rb_operators(A: Algebra, weight: Scalar, cap: int = 10 ** 7,
     the size q^(dim^2) of the matrix space all the same.
     """
     check_scan(A, cap)
-    return scan_matrices(A, _rb_equations(A, weight), cap=cap,
-                         workers=workers)
+    return scan_matrices(A, _rb_equations(A, weight), workers=workers)
 
 
 def _rb_equations(A: Algebra, weight: Scalar) -> list[list[tuple]]:
@@ -420,7 +419,7 @@ def enumerate_decompositions(A: Algebra, cap: int = 10 ** 6) -> list[dict]:
     n = A.dim
     subs = list(la.enumerate_subspaces(F, n, cap=cap))
     if len(subs) ** 2 > cap:
-        raise CapError(f"{len(subs)}^2 subspace pairs exceed cap {cap}")
+        raise CapError(f"{len(subs) ** 2} subspace pairs exceed cap {cap}")
     apex = la.basis_vector(F, n, n - 1)
     sub_ok = {i: bool(is_subalgebra(A, W)) for i, W in enumerate(subs)}
     out = []

@@ -264,7 +264,7 @@ def enumerate_automorphisms(A: Algebra, cap: int = 10 ** 7,
     """
     check_scan(A, cap)
     return scan_matrices(A, _product_equations(A), la.is_invertible,
-                         cap=cap, workers=workers)
+                         workers=workers)
 
 
 def _product_equations(A: Algebra) -> list[list[tuple]]:

@@ -1,7 +1,10 @@
 """The one cap rule (`linalg.check_cap`) at every site that enumerates.
 
-Each site refuses an infinite field, and refuses to enumerate q^k objects
-when q^k exceeds the cap while accepting q^k equal to it.
+Each site refuses an infinite field, and refuses to enumerate more objects
+than the cap while accepting a count equal to it.  The objects are q^k
+vectors, matrices, evaluations or field table entries; for subspaces the
+fillings of one choice of pivot columns, and for decompositions the pairs
+of subspaces.
 """
 
 import pytest
@@ -10,7 +13,7 @@ from prelie import linalg as la
 from prelie.algebras import apex_algebra, check_identity, is_simple
 from prelie.errors import CapError
 from prelie.fields import PrimeField, RationalField
-from prelie.rota_baxter import enumerate_rb_operators
+from prelie.rota_baxter import enumerate_decompositions, enumerate_rb_operators
 from prelie.symmetry import enumerate_automorphisms
 
 Q = RationalField()
@@ -42,6 +45,10 @@ SITES = {
     "scan-field-tables": (
         lambda F, cap: enumerate_automorphisms(apex_algebra(F, 1), cap=cap),
         GF5, 25),
+    # 6 subspaces of GF(3)^2, so 36 ordered pairs.
+    "subspace-pairs": (
+        lambda F, cap: enumerate_decompositions(apex_algebra(F, 2), cap=cap),
+        GF3, 36),
 }
 
 
@@ -66,3 +73,12 @@ def test_each_site_refuses_an_infinite_field(site):
     enumerate_at, _, _ = SITES[site]
     with pytest.raises(CapError, match="requires a finite field"):
         enumerate_at(Q, 10 ** 9)
+
+
+@pytest.mark.parametrize("F", [GF3, Q])
+def test_subspaces_refuse_before_building_any_pivot_pattern(F):
+    # 2^40 pivot patterns: the refusal must come from the closed-form bound
+    # on the first next(), not after the patterns are listed.
+    subspaces = la.enumerate_subspaces(F, 40, cap=10 ** 6)
+    with pytest.raises(CapError):
+        next(subspaces)

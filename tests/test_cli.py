@@ -572,16 +572,13 @@ def test_workers_below_one_is_usage_error(capsys, command, workers):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command,flag", [
-    *((command, "--workers") for command in WITHOUT_WORKERS),
-    ("build", "--cap"), ("derivations", "--cap"), ("rb-verify", "--cap"),
-])
-def test_flags_a_command_never_reads_are_usage_errors(capsys, command, flag):
+@pytest.mark.parametrize("command", ["build", "derivations", "rb-verify"])
+def test_cap_is_a_usage_error_where_nothing_is_enumerated(capsys, command):
     with pytest.raises(SystemExit) as exc:
-        main([command, *WITHOUT_WORKERS[command], flag, "2"])
+        main([command, *WITHOUT_WORKERS[command], "--cap", "2"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"unrecognized arguments: {flag} 2" in err
+    assert "unrecognized arguments: --cap 2" in err
     assert "Traceback" not in err
 
 
