@@ -54,7 +54,7 @@ class Algebra:
         for (i, j, k), c in table.items():
             if not all(0 <= t < dim for t in (i, j, k)):
                 raise DimensionError(f"table index {(i, j, k)} out of range")
-            if c != field.zero:
+            if not field.is_zero(c):
                 clean[(i, j, k)] = c
         self.field = field
         self.dim = dim
@@ -88,15 +88,15 @@ class Algebra:
 
     def multiply(self, x: Vector, y: Vector) -> Vector:
         F = self.field
-        zero = F.zero
-        out = [zero] * self.dim
+        is_zero = F.is_zero
+        out = [F.zero] * self.dim
         dense = self._dense
         for i, xi in enumerate(x):
-            if xi == zero:
+            if is_zero(xi):
                 continue
             row = dense[i]
             for j, yj in enumerate(y):
-                if yj == zero:
+                if is_zero(yj):
                     continue
                 cell = row[j]
                 if cell is None:
@@ -182,7 +182,7 @@ def dot_product_algebra(field: Field, marked: Vector) -> Algebra:
                     c = field.add(c, marked[k])
                 if j == k:
                     c = field.add(c, marked[i])
-                if c != field.zero:
+                if not field.is_zero(c):
                     table[(i, j, k)] = c
     return Algebra(field, n, table)
 
@@ -224,7 +224,7 @@ def upper_triangular_algebra(field: Field, n: int) -> UpperTriangular:
     def bump(i, j, k, c):
         key = (i, j, k)
         c = field.add(table.get(key, field.zero), c)
-        if c == field.zero:
+        if field.is_zero(c):
             table.pop(key, None)
         else:
             table[key] = c
@@ -253,7 +253,7 @@ def rebased_first_row(field: Field, n: int) -> Algebra:
         for b in range(n):
             prod = A.multiply(new_basis[a], new_basis[b])
             for t, c in enumerate(prod):
-                if c == field.zero:
+                if field.is_zero(c):
                     continue
                 if t not in pos:
                     raise FalsificationError(
@@ -294,7 +294,7 @@ def plus_algebra(A: Algebra) -> Algebra:
             v = la.vscale(F, half, la.vadd(F, A.basis_product(i, j),
                                            A.basis_product(j, i)))
             for k, c in enumerate(v):
-                if c != F.zero:
+                if not F.is_zero(c):
                     table[(i, j, k)] = c
     return Algebra(F, A.dim, table)
 
@@ -307,7 +307,7 @@ def minus_algebra(A: Algebra) -> Algebra:
         for j in range(A.dim):
             v = la.vsub(F, A.basis_product(i, j), A.basis_product(j, i))
             for k, c in enumerate(v):
-                if c != F.zero:
+                if not F.is_zero(c):
                     table[(i, j, k)] = c
     return Algebra(F, A.dim, table)
 
@@ -391,7 +391,8 @@ def _operator_equations(A: Algebra, inner) -> list[list[tuple]]:
                                 (u, var) if u <= var else (var, u))
                         sums[k][mono] = F.add(sums[k].get(mono, F.zero), c)
             for terms in sums:
-                eq = [(c, mono) for mono, c in terms.items() if c != F.zero]
+                eq = [(c, mono) for mono, c in terms.items()
+                      if not F.is_zero(c)]
                 if eq:
                     out.append(eq)
     return out

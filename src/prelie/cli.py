@@ -31,6 +31,9 @@ FAMILIES = ("in", "ex1", "un", "iinf")
 USAGE_ERROR = 2
 FALSIFIED = 1
 
+# options whose value is a scalar literal, which may start with "-"
+SCALAR_OPTIONS = ("--weight", "--marked")
+
 
 class UsageError(Exception):
     pass
@@ -424,8 +427,33 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _attach_scalar_literals(argv: list[str]) -> list[str]:
+    """Rewrite `--weight -1/2` as `--weight=-1/2`.
+
+    argparse reads a token that starts with "-" as a flag unless it looks
+    like a plain negative number, so a literal such as -1/2 or -3-2*r
+    would leave its option without a value.  Every option here is spelled
+    with "--", so a token after a scalar option that starts with a single
+    "-" can only be its literal, and the `=` form passes it unambiguously.
+    """
+    out = []
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        value = argv[i + 1] if i + 1 < len(argv) else ""
+        if (token in SCALAR_OPTIONS and value.startswith("-")
+                and not value.startswith("--")):
+            out.append(f"{token}={value}")
+            i += 2
+        else:
+            out.append(token)
+            i += 1
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_attach_scalar_literals(argv))
     try:
         return args.fn(args)
     except FalsificationError as exc:

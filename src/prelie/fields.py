@@ -11,12 +11,20 @@ Scalars are plain hashable values kept in canonical form, so `==` and
 * GF(p):     `int` residue in [0, p)
 * quadratic: pair `(a, b)` of base scalars meaning a + b*sqrt(d)
 
+`Field.is_zero` is the one zero test and the kernels call it on every
+entry, so each field gives it the cheapest exact form.  Since scalars are
+canonical, falsiness is zero-ness for `Fraction` and `int`: the rationals
+and GF(p) test `not a` (as the builtin `operator.not_`, which costs no
+Python call frame), a quadratic scalar is zero when both of its base
+coordinates are.  The base class keeps the generic `a == zero`.
+
 A `Field` instance is an operation handle; it never wraps scalars.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Any, Iterator
@@ -152,6 +160,8 @@ class RationalField(Field):
             raise ZeroDivisionError("inverse of 0")
         return 1 / a
 
+    is_zero = staticmethod(operator.not_)
+
     def from_int(self, k):
         return Fraction(k)
 
@@ -219,6 +229,8 @@ class PrimeField(Field):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, self.p - 2, self.p)
+
+    is_zero = staticmethod(operator.not_)
 
     def from_int(self, k):
         return k % self.p
@@ -332,6 +344,9 @@ class QuadraticField(Field):
         ninv = B.inv(n)
         return (B.mul(a0, ninv), B.neg(B.mul(a1, ninv)))
 
+    def is_zero(self, a):
+        return not a[0] and not a[1]
+
     def from_int(self, k):
         return (self.base.from_int(k), self.base.zero)
 
@@ -377,7 +392,7 @@ class QuadraticField(Field):
     def sqrt(self, x):
         B = self.base
         a, b = x
-        if x == self.zero:
+        if self.is_zero(x):
             return self.zero
         if B.is_zero(b):
             r = B.sqrt(a)

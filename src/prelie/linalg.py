@@ -5,6 +5,13 @@ field handle is passed explicitly.  Subspaces are stored as reduced row
 echelon bases, which are unique, so structural equality of Subspace values
 is subspace equality.  Indices are 0-based everywhere in code; the JSON
 layer is the only place 1-based indices appear.
+
+Storage is dense but the arithmetic skips zeros, since the matrices this
+package meets are mostly zero.  The rule: a term with a zero factor is
+never multiplied, a zero summand is never added, and a zero entry is never
+scaled; each zero is found with the field's one cheap test `F.is_zero`.
+Fields are exact and scalars canonical, so skipping a zero term gives
+the same value as computing it.
 """
 
 from __future__ import annotations
@@ -42,7 +49,9 @@ def basis_vector(F: Field, n: int, i: int) -> Vector:
     return tuple(F.one if j == i else F.zero for j in range(n))
 
 def vadd(F: Field, x: Vector, y: Vector) -> Vector:
-    return tuple(F.add(a, b) for a, b in zip(x, y))
+    is_zero, add = F.is_zero, F.add
+    return tuple(b if is_zero(a) else a if is_zero(b) else add(a, b)
+                 for a, b in zip(x, y))
 
 def vsub(F: Field, x: Vector, y: Vector) -> Vector:
     return tuple(F.sub(a, b) for a, b in zip(x, y))
@@ -51,18 +60,25 @@ def vneg(F: Field, x: Vector) -> Vector:
     return tuple(F.neg(a) for a in x)
 
 def vscale(F: Field, c: Scalar, x: Vector) -> Vector:
-    return tuple(F.mul(c, a) for a in x)
+    is_zero, mul = F.is_zero, F.mul
+    if is_zero(c):
+        return (F.zero,) * len(x)
+    return tuple(a if is_zero(a) else mul(c, a) for a in x)
 
 def is_zero_vector(F: Field, x: Vector) -> bool:
-    return all(a == F.zero for a in x)
+    return all(map(F.is_zero, x))
 
 def dot(F: Field, x: Vector, y: Vector) -> Scalar:
     if len(x) != len(y):
         raise DimensionError(f"dot of lengths {len(x)} and {len(y)}")
-    acc = F.zero
+    is_zero, add, mul = F.is_zero, F.add, F.mul
+    acc = None
     for a, b in zip(x, y):
-        acc = F.add(acc, F.mul(a, b))
-    return acc
+        if is_zero(a) or is_zero(b):
+            continue
+        p = mul(a, b)
+        acc = p if acc is None else add(acc, p)
+    return F.zero if acc is None else acc
 
 
 # ---------------------------------------------------------------- matrices
@@ -109,22 +125,24 @@ def rref(F: Field, M: Sequence[Sequence[Scalar]]) -> tuple[Matrix, int, tuple[in
 
     The result is the unique RREF, so it doubles as a canonical form.
     """
+    is_zero, add, mul = F.is_zero, F.add, F.mul
     rows = [list(r) for r in M]
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     pivots = []
     r = 0
     for c in range(nc):
-        pr = next((i for i in range(r, nr) if rows[i][c] != F.zero), None)
+        pr = next((i for i in range(r, nr) if not is_zero(rows[i][c])), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, v) for v in rows[r]]
+        prow = rows[r] = [v if is_zero(v) else mul(inv, v) for v in rows[r]]
         for i in range(nr):
-            if i != r and rows[i][c] != F.zero:
-                f = rows[i][c]
-                rows[i] = [F.sub(v, F.mul(f, w)) for v, w in zip(rows[i], rows[r])]
+            if i != r and not is_zero(rows[i][c]):
+                f = F.neg(rows[i][c])
+                rows[i] = [v if is_zero(w) else add(v, mul(f, w))
+                           for v, w in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
         if r == nr:
@@ -211,13 +229,15 @@ class Subspace:
         if len(x) != self.ambient:
             raise DimensionError("vector length differs from ambient dimension")
         F = self.field
+        is_zero, add, mul = F.is_zero, F.add, F.mul
         v = list(x)
         for row in self.basis:
-            p = next(i for i, e in enumerate(row) if e != F.zero)
-            if v[p] != F.zero:
-                c = v[p]
-                v = [F.sub(a, F.mul(c, b)) for a, b in zip(v, row)]
-        return all(a == F.zero for a in v)
+            p = next(i for i, e in enumerate(row) if not is_zero(e))
+            if not is_zero(v[p]):
+                c = F.neg(v[p])
+                v = [a if is_zero(b) else add(a, mul(c, b))
+                     for a, b in zip(v, row)]
+        return all(map(is_zero, v))
 
     def vectors(self) -> Iterator[Vector]:
         """All vectors of the subspace (finite fields only)."""

@@ -26,7 +26,7 @@ class PolyRing:
         self.one: Poly = {(0,) * nvars: F.one}
 
     def const(self, c) -> Poly:
-        if c == self.F.zero:
+        if self.F.is_zero(c):
             return {}
         return {(0,) * self.nvars: c}
 
@@ -40,7 +40,7 @@ class PolyRing:
         out = dict(p)
         for m, c in q.items():
             s = F.add(out.get(m, F.zero), c)
-            if s == F.zero:
+            if F.is_zero(s):
                 out.pop(m, None)
             else:
                 out[m] = s
@@ -60,7 +60,7 @@ class PolyRing:
             for m2, c2 in q.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
                 s = F.add(out.get(m, F.zero), F.mul(c1, c2))
-                if s == F.zero:
+                if F.is_zero(s):
                     out.pop(m, None)
                 else:
                     out[m] = s

@@ -31,6 +31,6 @@ def residual_report(F, residuals) -> CheckReport:
     first violated name with its value, details count the violations.
     """
     bad = [(name, F.format(value)) for name, value in residuals
-           if value != F.zero]
+           if not F.is_zero(value)]
     return CheckReport(not bad, witness=bad[0] if bad else None,
                        details={"violations": len(bad)})

@@ -279,7 +279,7 @@ def classify_case(A: Algebra, R: Matrix, weight: Scalar) -> CheckReport:
             "shift_skew": True,
             "shift_square_scalar": F.format(F.mul(half_w, half_w)),
         })
-    if alpha_a != F.zero and alpha_a != F.neg(w):
+    if not F.is_zero(alpha_a) and alpha_a != F.neg(w):
         raise FalsificationError(
             "case 2 apex coefficient outside {0, -w}",
             witness=(R, F.format(alpha_a)))
@@ -453,7 +453,7 @@ def enumerate_decompositions(A: Algebra, cap: int = 10 ** 6) -> list[dict]:
 
 
 def _meets_apex_coordinate(F: Field, W: Subspace) -> bool:
-    return any(row[-1] != F.zero for row in W.basis)
+    return any(not F.is_zero(row[-1]) for row in W.basis)
 
 
 # ------------------------------------------------------- example operators

@@ -232,7 +232,7 @@ def embed_skew(F: Field, S: Matrix, dim: int) -> Matrix:
     _check_block(F, S, dim)
     if not la.is_skew_symmetric(F, S):
         raise ValueError("block is not skew-symmetric")
-    if any(S[i][i] != F.zero for i in range(dim - 1)):
+    if any(not F.is_zero(S[i][i]) for i in range(dim - 1)):
         raise ValueError("block has a nonzero diagonal entry")
     return _embed(F, S, F.zero)
 
@@ -331,11 +331,11 @@ def derivation_skew_correspondence(A: Algebra) -> CheckReport:
 
 def _has_skew_block_shape(F: Field, n: int, flat: tuple) -> bool:
     M = tuple(flat[r * n:(r + 1) * n] for r in range(n))
-    border = all(M[n - 1][j] == F.zero for j in range(n)) and \
-        all(M[i][n - 1] == F.zero for i in range(n))
+    border = all(F.is_zero(M[n - 1][j]) for j in range(n)) and \
+        all(F.is_zero(M[i][n - 1]) for i in range(n))
     block = tuple(row[:n - 1] for row in M[:n - 1])
     return border and la.is_skew_symmetric(F, block) and \
-        all(block[i][i] == F.zero for i in range(n - 1))
+        all(F.is_zero(block[i][i]) for i in range(n - 1))
 
 
 # ----------------------------------------------------------------- shared

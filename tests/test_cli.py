@@ -240,6 +240,42 @@ def test_rb_verify_fractional_weight(capsys, tmp_path):
     assert rep["case"]["variant"] == "minus_weight"
 
 
+@pytest.mark.parametrize("field, weight, minus_weight", [
+    ("qi", "-3-2*r", "3+2*r"),
+    ("q", "-1/2", "1/2"),
+])
+def test_weight_literal_may_start_with_minus(capsys, tmp_path, field,
+                                             weight, minus_weight):
+    op = write_json(tmp_path / "op.json",
+                    [[minus_weight if i == j else "0" for j in range(3)]
+                     for i in range(3)])
+    for form in (["--weight", weight], [f"--weight={weight}"]):
+        code, rep = run_json(capsys, "rb-verify", "--family", "in", "--n",
+                             "3", "--field", field, "--op", op, *form)
+        assert code == 0
+        assert rep["weight"] == weight
+        assert rep["is_rb"] is True
+        assert rep["case"]["variant"] == "minus_weight"
+    code, rep = run_json(capsys, "rb-index", "--n", "2", "--field", "gf5",
+                         "--weight", "-3")
+    assert code == 0 and rep["weight"] == "2"
+
+
+def test_marked_literal_may_start_with_minus(capsys):
+    code, data = run_json(capsys, "build", "--family", "ex1", "--field",
+                          "qi", "--marked", "-r,0,-1/2")
+    assert code == 0
+    assert data["dim"] == 3
+
+
+def test_flag_after_scalar_option_is_still_a_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rb-index", "--n", "2", "--field", "gf5", "--weight",
+              "--cap", "10"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_rb_verify_non_apex_case_is_null(capsys, tmp_path):
     op = write_json(tmp_path / "op.json", [["0"] * 3] * 3)
     code, rep = run_json(capsys, "rb-verify", "--family", "un", "--n", "2",
