@@ -359,6 +359,20 @@ def _ring_product(ring: PolyRing, A: Algebra, x: list, y: list) -> list:
     return out
 
 
+def _leibniz_form(A: Algebra, i: int, j: int) -> list[list[tuple]]:
+    """M(b_i) b_j + b_i M(b_j) as a linear form in the entries of a matrix
+    M, in the shape `_operator_equations` takes from `inner`: for each
+    coordinate, a list of (coefficient, variable) terms."""
+    n = A.dim
+    v = [[] for _ in range(n)]
+    for (a, b, k), c in A.table.items():
+        if b == j:
+            v[k].append((c, a * n + i))
+        if a == i:
+            v[k].append((c, b * n + j))
+    return v
+
+
 def _operator_equations(A: Algebra, inner) -> list[list[tuple]]:
     """The identity M(b_i) M(b_j) = M(v_ij) on every basis pair, as scalar
     equations in the dim^2 entries of a matrix M, expanded straight from

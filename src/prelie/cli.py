@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import linalg as la
-from .algebras import (Algebra, apex_algebra, check_identity,
+from .algebras import (IDENTITY_KINDS, Algebra, apex_algebra, check_identity,
                        dot_product_algebra, infinite_truncation_algebra,
                        is_apex_algebra, is_simple, upper_triangular_algebra)
 from .errors import DimensionError, FalsificationError, PrelieError
@@ -356,10 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-identity", help="test a polynomial identity")
     _add_algebra_flags(p)
-    p.add_argument("--kind", required=True,
-                   choices=("pre_lie", "novikov", "flexible", "commutative",
-                            "anticommutative", "jacobi",
-                            "third_power_associative"))
+    p.add_argument("--kind", required=True, choices=IDENTITY_KINDS)
     p.add_argument("--exhaustive", action="store_true",
                    help="evaluate on every tuple over a finite field "
                         "instead of symbolically")

@@ -29,7 +29,7 @@ Matrix = tuple
 __all__ = [
     "Subspace", "basis_vector", "check_cap", "column_space", "decode_matrix",
     "dot", "enumerate_matrices", "enumerate_projective",
-    "enumerate_subspaces", "enumerate_vectors", "gram_matrix",
+    "enumerate_subspaces", "gram_matrix",
     "identity_matrix", "intersect", "is_direct_sum", "is_invertible",
     "is_lagrangian", "is_orthogonal", "is_skew_symmetric", "is_zero_matrix",
     "is_zero_vector", "kernel", "mat_add", "mat_mul", "mat_scale", "mat_sub",
@@ -322,11 +322,6 @@ def check_cap(F: Field, k: int, kind: str, cap: int) -> None:
     count = F.order ** k
     if count > cap:
         raise CapError(f"{count} {kind} exceed cap {cap}")
-
-
-def enumerate_vectors(F: Field, n: int, cap: int = 10 ** 6) -> Iterator[Vector]:
-    check_cap(F, n, "vectors", cap)
-    return product(F.elements(), repeat=n)  # type: ignore[return-value]
 
 
 def enumerate_projective(F: Field, n: int, cap: int = 10 ** 6) -> Iterator[Vector]:

@@ -15,9 +15,8 @@ The search is split over the admitted values of its first few entries,
 its prefixes.  A scan searches them in order in the calling process: all
 of them at one worker, and at more than one until its search nodes exceed
 SCAN_BUDGET, when it hands the list of those left to `run_chunks`, which
-cuts range(total) into contiguous ranges (here, of that list); each chunk
-function receives (common_args..., start, stop) and returns a list, and
-results are concatenated in chunk order.  So a scan that fits the budget
+makes one task of each; the pool gives each task to whichever worker is
+free, and results come back in task order.  So a scan that fits the budget
 never touches the pool.  The scan then sorts its solutions into canonical
 order, so the output is identical for any worker count.
 
@@ -40,33 +39,13 @@ from multiprocessing import Pipe, util
 from . import linalg as la
 from .algebras import Algebra
 
-__all__ = ["check_scan", "pool_size", "run_chunks", "scan_matrices",
-           "split_ranges"]
-
-
-def split_ranges(total: int, pieces: int) -> list[tuple[int, int]]:
-    """Split range(total) into at most `pieces` contiguous nonempty ranges."""
-    pieces = max(1, min(pieces, total)) if total else 1
-    step, extra = divmod(total, pieces)
-    ranges = []
-    start = 0
-    for i in range(pieces):
-        stop = start + step + (1 if i < extra else 0)
-        if stop > start:
-            ranges.append((start, stop))
-        start = stop
-    return ranges or [(0, 0)]
+__all__ = ["check_scan", "pool_size", "run_chunks", "scan_matrices"]
 
 
 def pool_size(workers: int) -> int:
     """Processes to run for `workers` requested: at least 1 and at most the
     CPU count, since a process pool starts all of its workers at once."""
     return max(1, min(workers, os.cpu_count() or 1))
-
-
-def _pieces(processes: int) -> int:
-    """Ranges run_chunks cuts its work into on `processes` processes."""
-    return processes * 4 if processes > 1 else 1
 
 
 # The process pool of this process, as (size, executor, finalizer, alive),
@@ -152,17 +131,19 @@ SCAN_BUDGET = 5_000
 
 
 def run_chunks(chunk_fn, common_args: tuple, total: int, workers: int = 1) -> list:
-    """Apply chunk_fn(common_args + (start, stop)) over a partition of
-    range(total), in order, optionally across processes.
+    """Apply chunk_fn(common_args + (i, i + 1)) for each i in range(total)
+    and concatenate the returned lists in that order, optionally across
+    processes.
 
-    More than one worker runs the chunks on this process's one pool, which
-    the first such call starts and later calls reuse.  chunk_fn travels to
-    the workers by name, so it must be importable: the workers do not see
-    a function that `__main__` defines after they started.  If the pool
-    breaks, for example because a worker was killed, the call raises
-    BrokenProcessPool and the next call starts a fresh pool."""
+    More than one worker runs the calls on this process's one pool, which
+    the first such call starts and later calls reuse; the pool hands each
+    call to whichever worker is free.  chunk_fn travels to the workers by
+    name, so it must be importable: the workers do not see a function that
+    `__main__` defines after they started.  If the pool breaks, for example
+    because a worker was killed, the call raises BrokenProcessPool and the
+    next call starts a fresh pool."""
     workers = pool_size(workers)
-    args = [common_args + r for r in split_ranges(total, _pieces(workers))]
+    args = [common_args + (i, i + 1) for i in range(total)]
     if workers == 1:
         chunks = [chunk_fn(a) for a in args]
     else:
@@ -195,13 +176,17 @@ def scan_matrices(A: Algebra, equations: list, leaf=None,
     """
     F = A.field
     order = _search_order(A.dim * A.dim, equations)
+    depth = [0] * len(order)  # entry -> depth
+    for d, v in enumerate(order):
+        depth[v] = d
     processes = pool_size(workers)
-    # Enough prefix assignments to give every chunk at least one.
+    # At least four prefixes a process before pruning, q^prefix, so that
+    # the pool can even out subtrees of unequal size.
     prefix = 1
-    while prefix < len(order) and F.order ** prefix < _pieces(processes):
+    while prefix < len(order) and F.order ** prefix < 4 * processes:
         prefix += 1
-    slots = [order.index(v) for v in range(len(order))]  # entry -> depth
-    kernel = (F, A.dim, slots, _tables(F), _compile(F, equations, order),
+    tables = _tables(F)
+    kernel = (F, A.dim, depth, tables, _compile(tables[1], equations, depth),
               leaf, prefix)
     found, rest = _search(kernel, None,
                           SCAN_BUDGET if processes > 1 else None)
@@ -230,25 +215,26 @@ def _search_order(nvars: int, equations: list) -> list[int]:
 
 
 def _tables(F) -> tuple:
-    """add, mul, neg and inv of F on the indices of its scalars in
-    F.elements() order, in which zero is index 0; inv[0] is 0."""
+    """F's scalars in F.elements() order, in which zero is index 0, the
+    scalar -> index map, and add, mul, neg and inv of F on those indices;
+    inv[0] is 0."""
     elems = list(F.elements())
     index = {x: i for i, x in enumerate(elems)}
     add = [[index[F.add(a, b)] for b in elems] for a in elems]
     mul = [[index[F.mul(a, b)] for b in elems] for a in elems]
     neg = [index[F.neg(a)] for a in elems]
     inv = [0] + [index[F.inv(a)] for a in elems[1:]]
-    return add, mul, neg, inv
+    return elems, index, add, mul, neg, inv
 
 
-def _compile(F, equations: list, order: list[int]) -> list[list[tuple]]:
-    """The equations in plain ints, by the depth of their last variable in
-    `order`.  Each is a polynomial in that variable x: a tuple whose k-th
-    item holds the terms of the coefficient of x^k, each term a coefficient
-    index and the depths of its other variables."""
-    index = {x: i for i, x in enumerate(F.elements())}
-    depth = {v: d for d, v in enumerate(order)}
-    plan = [[] for _ in order]
+def _compile(index: dict, equations: list,
+             depth: list[int]) -> list[list[tuple]]:
+    """The equations in plain ints (`index` maps a scalar to its index), by
+    the depth of their last variable.  Each is a polynomial in that
+    variable x: a tuple whose k-th item holds the terms of the coefficient
+    of x^k, each term a coefficient index and the depths of its other
+    variables."""
+    plan = [[] for _ in depth]
     for eq in equations:
         terms = [(index[c], sorted(depth[v] for v in mono)) for c, mono in eq]
         last = max((m[-1] for _, m in terms if m), default=0)
@@ -280,10 +266,9 @@ def _search(kernel, prefixes: list | None, budget: int | None = None):
     or those from the first reached after the search nodes (partial
     assignments that pass every equation checked so far) exceed `budget`.
     """
-    F, n, slots, (add, mul, neg, inv), plan, leaf, prefix = kernel
-    elems = list(F.elements())
+    F, n, depth, (elems, _, add, mul, neg, inv), plan, leaf, prefix = kernel
     q = len(elems)
-    values = [0] * len(slots)
+    values = [0] * len(depth)
     out = []
     nodes = 0
 
@@ -329,8 +314,8 @@ def _search(kernel, prefixes: list | None, budget: int | None = None):
 
     def extend(d):
         nonlocal nodes
-        if d == len(slots):
-            M = tuple(tuple(elems[values[slots[r * n + m]]] for m in range(n))
+        if d == len(depth):
+            M = tuple(tuple(elems[values[depth[r * n + m]]] for m in range(n))
                       for r in range(n))
             if leaf is None or leaf(F, M):
                 out.append(M)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from . import linalg as la
 from .algebras import (Algebra, _check_apex, _check_shape,
-                       _operator_equations, is_subalgebra)
+                       _leibniz_form, _operator_equations, is_subalgebra)
 from .errors import CapError, DimensionError, FalsificationError
 from .fields import Field, FieldError, Scalar
 from .linalg import Matrix, Subspace
@@ -350,17 +350,11 @@ def _rb_equations(A: Algebra, weight: Scalar) -> list[list[tuple]]:
     + w b_i b_j) as scalar equations in the entries of R, one for each
     basis pair and coordinate, built from the structure constants."""
     F = A.field
-    n = A.dim
 
     def inner(i, j):
-        v = [[] for _ in range(n)]
-        for (a, b, k), c in A.table.items():
-            if b == j:
-                v[k].append((c, a * n + i))
-            if a == i:
-                v[k].append((c, b * n + j))
-                if b == j:
-                    v[k].append((F.mul(weight, c), None))
+        v = _leibniz_form(A, i, j)
+        for k, c in enumerate(A.basis_product(i, j)):
+            v[k].append((F.mul(weight, c), None))
         return v
 
     return _operator_equations(A, inner)

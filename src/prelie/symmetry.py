@@ -18,7 +18,7 @@ of the defect, `_s(...)` its apex coordinate.
 from __future__ import annotations
 
 from . import linalg as la
-from .algebras import (Algebra, _check_apex, _check_shape,
+from .algebras import (Algebra, _check_apex, _check_shape, _leibniz_form,
                        _operator_equations, is_apex_algebra)
 from .errors import DimensionError
 from .fields import Field
@@ -84,26 +84,21 @@ def is_derivation(A: Algebra, d: Matrix) -> CheckReport:
 
 def derivation_algebra(A: Algebra) -> Subspace:
     """All derivations of A, as a subspace of F^(dim^2) (matrices flattened
-    row-major).
-
-    The identity E solves the product equations of `_product_equations`,
-    and d is a derivation exactly when E + t d preserves products to first
-    order in t.  So the Leibniz system is the linear part of those
-    equations at E, and its kernel is the answer: a monomial gives its
-    coefficient to d_u for each of its variables x_u whose other variables
-    are diagonal entries, the entries that E sets to 1.
-    """
+    row-major): the kernel of the Leibniz rows d(b_i b_j) - d(b_i) b_j
+    - b_i d(b_j), one for each basis pair and coordinate, built from the
+    structure constants (entry (k, m) of d is variable k * dim + m)."""
     F = A.field
     n = A.dim
     rows = []
-    for eq in _product_equations(A):
-        row = [F.zero] * (n * n)
-        for c, mono in eq:
-            for t, u in enumerate(mono):
-                # entry k * n + m is diagonal when k == m
-                if all(v % (n + 1) == 0 for v in mono[:t] + mono[t + 1:]):
-                    row[u] = F.add(row[u], c)
-        rows.append(tuple(row))
+    for i in range(n):
+        for j in range(n):
+            product = A.basis_product(i, j)
+            for k, terms in enumerate(_leibniz_form(A, i, j)):
+                row = [F.zero] * (n * n)
+                row[k * n:(k + 1) * n] = product
+                for c, u in terms:
+                    row[u] = F.sub(row[u], c)
+                rows.append(tuple(row))
     return la.kernel(F, tuple(rows), ncols=n * n)
 
 

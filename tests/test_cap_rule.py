@@ -22,8 +22,6 @@ GF5 = PrimeField(5)
 
 # Each site as (enumeration over F at a cap, the field, the q^k it counts).
 SITES = {
-    "vectors": (lambda F, cap: list(la.enumerate_vectors(F, 2, cap=cap)),
-                GF3, 9),
     "projective": (lambda F, cap: list(la.enumerate_projective(F, 2,
                                                                cap=cap)),
                    GF3, 9),

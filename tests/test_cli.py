@@ -11,6 +11,7 @@ import subprocess
 
 import pytest
 
+from prelie.algebras import IDENTITY_KINDS
 from prelie.cli import main
 
 
@@ -121,6 +122,17 @@ def test_check_identity_exhaustive_flexible(capsys):
     assert rep["holds"] is False
     assert rep["method"] == "exhaustive"
     assert rep["witness"] == [["1", "0"], ["0", "1"]]
+
+
+def test_check_identity_accepts_every_library_kind_and_no_other(capsys):
+    for kind in IDENTITY_KINDS:
+        code, rep = run_json(capsys, "check-identity", "--family", "un",
+                             "--n", "2", "--field", "gf5", "--kind", kind)
+        assert code == 0 and rep["kind"] == kind
+    with pytest.raises(SystemExit) as exc:
+        main(["check-identity", "--family", "un", "--n", "2", "--kind",
+              "lie"])
+    assert exc.value.code == 2
 
 
 def test_simplicity_char_two_allowed(capsys):

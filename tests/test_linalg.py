@@ -9,13 +9,12 @@ from prelie.errors import CapError, DimensionError
 from prelie.fields import PrimeField, QuadraticField, RationalField
 from prelie.linalg import (Subspace, column_space, decode_matrix, dot,
                            enumerate_matrices, enumerate_projective,
-                           enumerate_subspaces, enumerate_vectors,
-                           gram_matrix, identity_matrix, intersect,
-                           is_direct_sum, is_invertible, is_lagrangian,
-                           is_orthogonal, is_skew_symmetric, is_zero_matrix,
-                           is_zero_vector, kernel, mat_mul, mat_vec,
-                           matrix_from_json, random_matrix, rref, solve, span,
-                           subspace_sum, trace, transpose)
+                           enumerate_subspaces, gram_matrix, identity_matrix,
+                           intersect, is_direct_sum, is_invertible,
+                           is_lagrangian, is_orthogonal, is_skew_symmetric,
+                           is_zero_matrix, is_zero_vector, kernel, mat_mul,
+                           mat_vec, matrix_from_json, random_matrix, rref,
+                           solve, span, subspace_sum, trace, transpose)
 
 Q = RationalField()
 GF3 = PrimeField(3)
@@ -100,14 +99,9 @@ def test_enumerate_projective_gf3():
         assert lead == 1
 
 
-def test_enumerate_vectors_count_and_cap():
-    assert len(list(enumerate_vectors(GF3, 2))) == 9
-    with pytest.raises(CapError):
-        list(enumerate_vectors(GF5, 9, cap=100))
+def test_enumerate_matrices_cap():
     with pytest.raises(CapError):
         list(enumerate_matrices(GF5, 4, 4, cap=1000))
-    with pytest.raises(CapError):
-        enumerate_vectors(Q, 1)
 
 
 def test_decode_matrix_matches_enumeration_order():

@@ -290,6 +290,16 @@ def test_a_scan_over_the_budget_hands_the_rest_to_the_pool(
     assert len(handed) == 1 and 0 < handed[0] < 9
 
 
+def bounds(args) -> list:
+    """A chunk function reporting the (start, stop) it was given."""
+    return [args]
+
+
+def test_the_pool_gets_one_task_per_item_in_order(fresh_pool):
+    assert parallel.run_chunks(bounds, (), 20, workers=2) == \
+        [(i, i + 1) for i in range(20)]
+
+
 @pytest.mark.parametrize("budget", [0, 100, DEFAULT_BUDGET])
 def test_the_budget_does_not_change_the_scans(fresh_pool, monkeypatch,
                                               budget):
