@@ -137,20 +137,28 @@ class Algebra:
 
 # ----------------------------------------------------------------- builders
 
+def _apex_table(field: Field, dim: int) -> dict:
+    """The nonzero structure constants of the apex table; in characteristic
+    2 the constant 2 of b_n b_n is zero and is left out, as `Algebra`
+    leaves it out of its own table."""
+    a = dim - 1
+    two = field.from_int(2)
+    table = {} if field.is_zero(two) else {(a, a, a): two}
+    for j in range(a):
+        table[(a, j, j)] = field.one
+        table[(j, j, a)] = field.one
+    return table
+
+
 def apex_algebra(field: Field, dim: int) -> Algebra:
     """The simple left-symmetric family with a distinguished apex vector."""
     if dim < 1:
         raise DimensionError("dimension must be at least 1")
-    a = dim - 1
-    table = {(a, a, a): field.from_int(2)}
-    for j in range(a):
-        table[(a, j, j)] = field.one
-        table[(j, j, a)] = field.one
-    return Algebra(field, dim, table)
+    return Algebra(field, dim, _apex_table(field, dim))
 
 
 def is_apex_algebra(A: Algebra) -> bool:
-    return A == apex_algebra(A.field, A.dim)
+    return A.table == _apex_table(A.field, A.dim)
 
 
 def _check_shape(A: Algebra, M: Matrix) -> None:

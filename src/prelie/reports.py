@@ -27,10 +27,17 @@ class CheckReport:
 def residual_report(F, residuals) -> CheckReport:
     """Verdict for a named residual system: ok iff every scalar vanishes.
 
-    `residuals` is a sequence of (name, scalar) pairs; the witness is the
-    first violated name with its value, details count the violations.
+    `residuals` is an iterable of (name, scalar) pairs, consumed in full;
+    the witness is the first violated name with its value, details count
+    the violations.
     """
     bad = [(name, F.format(value)) for name, value in residuals
            if not F.is_zero(value)]
     return CheckReport(not bad, witness=bad[0] if bad else None,
                        details={"violations": len(bad)})
+
+
+def residuals_vanish(F, residuals) -> bool:
+    """The verdict of `residual_report` alone: stops at the first nonzero
+    scalar, so a lazy residual stream is evaluated no further."""
+    return all(F.is_zero(v) for _, v in residuals)

@@ -23,6 +23,8 @@ symmetry module.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from . import linalg as la
 from .algebras import (Algebra, _check_apex, _check_shape,
                        _leibniz_form, _operator_equations, is_subalgebra)
@@ -96,41 +98,49 @@ def is_trivial_operator(F: Field, R: Matrix, weight: Scalar) -> bool:
 # ------------------------------------------------------- residual system
 
 def rb_residuals(A: Algebra, R: Matrix,
-                 weight: Scalar) -> list[tuple[str, Scalar]]:
+                 weight: Scalar) -> Iterator[tuple[str, Scalar]]:
     """Named scalar equations equivalent to the defining identity on the
     apex algebra.  Column j of R is v_j + a_j b_n with v_j the hyperplane
-    part and a_j the apex coefficient."""
+    part and a_j the apex coefficient.
+
+    Validation is eager: a wrong shape or a non-apex table raises
+    DimensionError at call time.  Evaluation is lazy: each (name, scalar)
+    pair is computed when the stream reaches it, in a fixed order, so a
+    caller may stop at the first nonzero residual.
+    """
     _check_apex(A, R)
+    return _rb_stream(A, R, weight)
+
+
+def _rb_stream(A: Algebra, R: Matrix,
+               w: Scalar) -> Iterator[tuple[str, Scalar]]:
     F = A.field
     n = A.dim
     a = n - 1
-    w = weight
     v = lambda k, j: R[k][j]
     alpha = lambda j: R[a][j]
     col = la.transpose(R)
     hyp = lambda j: col[j][:a]
     two = F.from_int(2)
     three = F.from_int(3)
-    out = []
     for i in range(a):
         for j in range(a):
             factor = F.add(v(i, j), v(j, i))
             if i == j:
                 factor = F.add(factor, w)
             for k in range(a):
-                out.append((f"jj_v({i + 1},{j + 1})[{k + 1}]",
-                            F.mul(factor, v(k, a))))
-            out.append((f"jj_s({i + 1},{j + 1})",
-                        F.sub(F.add(la.dot(F, hyp(i), hyp(j)),
-                                    F.mul(alpha(i), alpha(j))),
-                              F.mul(factor, alpha(a)))))
+                yield (f"jj_v({i + 1},{j + 1})[{k + 1}]",
+                       F.mul(factor, v(k, a)))
+            yield (f"jj_s({i + 1},{j + 1})",
+                   F.sub(F.add(la.dot(F, hyp(i), hyp(j)),
+                               F.mul(alpha(i), alpha(j))),
+                         F.mul(factor, alpha(a))))
     for i in range(a):
         coeff = F.add(alpha(i), v(i, a))
         for k in range(a):
-            out.append((f"jn_v({i + 1})[{k + 1}]", F.mul(coeff, v(k, a))))
-        out.append((f"jn_s({i + 1})",
-                    F.sub(la.dot(F, hyp(i), hyp(a)),
-                          F.mul(v(i, a), alpha(a)))))
+            yield f"jn_v({i + 1})[{k + 1}]", F.mul(coeff, v(k, a))
+        yield (f"jn_s({i + 1})",
+               F.sub(la.dot(F, hyp(i), hyp(a)), F.mul(v(i, a), alpha(a))))
     for j in range(a):
         load = F.add(v(j, a), F.mul(two, alpha(j)))
         for k in range(a):
@@ -138,25 +148,24 @@ def rb_residuals(A: Algebra, R: Matrix,
             for m in range(a):
                 s = F.add(s, F.mul(v(m, j), v(k, m)))
             s = F.add(s, F.mul(load, v(k, a)))
-            out.append((f"nj_v({j + 1})[{k + 1}]", s))
+            yield f"nj_v({j + 1})[{k + 1}]", s
         s = F.mul(w, alpha(j))
         for m in range(a):
             s = F.add(s, F.mul(alpha(m), v(m, j)))
         s = F.add(s, F.mul(F.add(v(j, a), alpha(j)), alpha(a)))
         s = F.sub(s, la.dot(F, hyp(a), hyp(j)))
-        out.append((f"nj_s({j + 1})", s))
+        yield f"nj_s({j + 1})", s
     lead = F.add(F.mul(three, alpha(a)), F.mul(two, w))
     for k in range(a):
         s = F.mul(lead, v(k, a))
         for m in range(a):
             s = F.add(s, F.mul(v(m, a), v(k, m)))
-        out.append((f"nn_v[{k + 1}]", s))
+        yield f"nn_v[{k + 1}]", s
     s = F.mul(two, F.mul(alpha(a), F.add(alpha(a), w)))
     for m in range(a):
         s = F.add(s, F.mul(alpha(m), v(m, a)))
     s = F.sub(s, la.dot(F, hyp(a), hyp(a)))
-    out.append(("nn_s", s))
-    return out
+    yield "nn_s", s
 
 
 def rb_residual_report(A: Algebra, R: Matrix, weight: Scalar) -> CheckReport:

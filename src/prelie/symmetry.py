@@ -17,11 +17,13 @@ of the defect, `_s(...)` its apex coordinate.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from . import linalg as la
 from .algebras import (Algebra, _check_apex, _check_shape, _leibniz_form,
                        _operator_equations, is_apex_algebra)
 from .errors import DimensionError
-from .fields import Field
+from .fields import Field, Scalar
 from .linalg import Matrix, Subspace
 from .parallel import check_scan, scan_matrices
 from .reports import CheckReport, residual_report
@@ -111,13 +113,23 @@ def derivation_matrices(A: Algebra) -> tuple[Matrix, ...]:
 
 # ------------------------------------------------------- residual systems
 
-def automorphism_residuals(A: Algebra, phi: Matrix) -> list[tuple[str, object]]:
+def automorphism_residuals(A: Algebra,
+                           phi: Matrix) -> Iterator[tuple[str, Scalar]]:
     """Named scalar equations equivalent to multiplicativity of phi on the
     apex algebra; all zero iff phi preserves every basis product.
 
     Invertibility is deliberately not encoded (phi = 0 solves the system).
+    Validation is eager: a wrong shape or a non-apex table raises
+    DimensionError at call time.  Evaluation is lazy: each (name, scalar)
+    pair is computed when the stream reaches it, in a fixed order, so a
+    caller may stop at the first nonzero residual.
     """
     _check_apex(A, phi)
+    return _automorphism_stream(A, phi)
+
+
+def _automorphism_stream(A: Algebra,
+                         phi: Matrix) -> Iterator[tuple[str, Scalar]]:
     F = A.field
     n = A.dim
     a = n - 1
@@ -126,56 +138,62 @@ def automorphism_residuals(A: Algebra, phi: Matrix) -> list[tuple[str, object]]:
     col = la.transpose(phi)
     hyp = lambda j: col[j][:a]
     two = F.from_int(2)
-    out = []
     for i in range(a):
         for j in range(a):
             for k in range(a):
                 if i == j:
-                    out.append((f"jj_v({i + 1},{j + 1})[{k + 1}]",
-                                F.sub(F.mul(alpha(i), v(k, i)), v(k, a))))
+                    yield (f"jj_v({i + 1},{j + 1})[{k + 1}]",
+                           F.sub(F.mul(alpha(i), v(k, i)), v(k, a)))
                 else:
-                    out.append((f"jj_v({i + 1},{j + 1})[{k + 1}]",
-                                F.mul(alpha(i), v(k, j))))
+                    yield (f"jj_v({i + 1},{j + 1})[{k + 1}]",
+                           F.mul(alpha(i), v(k, j)))
             s = F.add(la.dot(F, hyp(i), hyp(j)),
                       F.mul(two, F.mul(alpha(i), alpha(j))))
             if i == j:
                 s = F.sub(s, alpha(a))
-            out.append((f"jj_s({i + 1},{j + 1})", s))
+            yield f"jj_s({i + 1},{j + 1})", s
     for i in range(a):
         for k in range(a):
-            out.append((f"jn_v({i + 1})[{k + 1}]", F.mul(alpha(i), v(k, a))))
-        out.append((f"jn_s({i + 1})",
-                    F.add(la.dot(F, hyp(i), hyp(a)),
-                          F.mul(two, F.mul(alpha(a), alpha(i))))))
+            yield f"jn_v({i + 1})[{k + 1}]", F.mul(alpha(i), v(k, a))
+        yield (f"jn_s({i + 1})",
+               F.add(la.dot(F, hyp(i), hyp(a)),
+                     F.mul(two, F.mul(alpha(a), alpha(i)))))
     for j in range(a):
         for k in range(a):
-            out.append((f"nj_v({j + 1})[{k + 1}]",
-                        F.sub(F.mul(alpha(a), v(k, j)), v(k, j))))
-        out.append((f"nj_s({j + 1})",
-                    F.sub(F.add(la.dot(F, hyp(a), hyp(j)),
-                                F.mul(two, F.mul(alpha(a), alpha(j)))),
-                          alpha(j))))
+            yield (f"nj_v({j + 1})[{k + 1}]",
+                   F.sub(F.mul(alpha(a), v(k, j)), v(k, j)))
+        yield (f"nj_s({j + 1})",
+               F.sub(F.add(la.dot(F, hyp(a), hyp(j)),
+                           F.mul(two, F.mul(alpha(a), alpha(j)))),
+                     alpha(j)))
     for k in range(a):
-        out.append((f"nn_v[{k + 1}]",
-                    F.sub(F.mul(alpha(a), v(k, a)), F.mul(two, v(k, a)))))
-    out.append(("nn_s",
-                F.sub(F.add(la.dot(F, hyp(a), hyp(a)),
-                            F.mul(two, F.mul(alpha(a), alpha(a)))),
-                      F.mul(two, alpha(a)))))
-    return out
+        yield (f"nn_v[{k + 1}]",
+               F.sub(F.mul(alpha(a), v(k, a)), F.mul(two, v(k, a))))
+    yield ("nn_s",
+           F.sub(F.add(la.dot(F, hyp(a), hyp(a)),
+                       F.mul(two, F.mul(alpha(a), alpha(a)))),
+                 F.mul(two, alpha(a))))
 
 
-def derivation_residuals(A: Algebra, d: Matrix) -> list[tuple[str, object]]:
+def derivation_residuals(A: Algebra,
+                         d: Matrix) -> Iterator[tuple[str, Scalar]]:
     """Named scalar equations equivalent to the Leibniz rule for d on the
-    apex algebra; all zero iff d is a derivation."""
+    apex algebra; all zero iff d is a derivation.
+
+    Validation is eager and evaluation lazy, as in `automorphism_residuals`.
+    """
     _check_apex(A, d)
+    return _derivation_stream(A, d)
+
+
+def _derivation_stream(A: Algebra,
+                       d: Matrix) -> Iterator[tuple[str, Scalar]]:
     F = A.field
     n = A.dim
     a = n - 1
     w = lambda k, j: d[k][j]
     gamma = lambda j: d[a][j]
     two = F.from_int(2)
-    out = []
     for i in range(a):
         for j in range(a):
             for k in range(a):
@@ -183,24 +201,21 @@ def derivation_residuals(A: Algebra, d: Matrix) -> list[tuple[str, object]]:
                     val = F.sub(gamma(i) if k == i else F.zero, w(k, a))
                 else:
                     val = gamma(i) if k == j else F.zero
-                out.append((f"jj_v({i + 1},{j + 1})[{k + 1}]", val))
+                yield f"jj_v({i + 1},{j + 1})[{k + 1}]", val
             if i == j:
-                out.append((f"jj_s({i + 1},{j + 1})",
-                            F.sub(F.mul(two, w(i, i)), gamma(a))))
+                yield (f"jj_s({i + 1},{j + 1})",
+                       F.sub(F.mul(two, w(i, i)), gamma(a)))
             else:
-                out.append((f"jj_s({i + 1},{j + 1})", F.add(w(i, j), w(j, i))))
+                yield f"jj_s({i + 1},{j + 1})", F.add(w(i, j), w(j, i))
     for i in range(a):
-        out.append((f"jn_s({i + 1})",
-                    F.add(w(i, a), F.mul(two, gamma(i)))))
+        yield f"jn_s({i + 1})", F.add(w(i, a), F.mul(two, gamma(i)))
     for j in range(a):
         for k in range(a):
-            out.append((f"nj_v({j + 1})[{k + 1}]",
-                        gamma(a) if k == j else F.zero))
-        out.append((f"nj_s({j + 1})", F.add(w(j, a), gamma(j))))
+            yield f"nj_v({j + 1})[{k + 1}]", gamma(a) if k == j else F.zero
+        yield f"nj_s({j + 1})", F.add(w(j, a), gamma(j))
     for k in range(a):
-        out.append((f"nn_v[{k + 1}]", w(k, a)))
-    out.append(("nn_s", F.mul(two, gamma(a))))
-    return out
+        yield f"nn_v[{k + 1}]", w(k, a)
+    yield "nn_s", F.mul(two, gamma(a))
 
 
 def automorphism_residual_report(A: Algebra, phi: Matrix) -> CheckReport:

@@ -59,6 +59,26 @@ def test_apex_table_entries():
     assert not is_apex_algebra(unital_extension(A))
 
 
+@pytest.mark.parametrize("spec", ["gf2", "gf3", "q", "qi"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_apex_guard_reads_the_table(spec, n):
+    F = make_field(spec, allow_char2=True)
+    A = apex_algebra(F, n)
+    assert is_apex_algebra(A)
+    # the table written out with its constant 2, which is 0 over GF(2)
+    a = n - 1
+    table = {(a, a, a): F.from_int(2)}
+    for j in range(a):
+        table[(a, j, j)] = F.one
+        table[(j, j, a)] = F.one
+    assert is_apex_algebra(Algebra(F, n, table))
+    assert not is_apex_algebra(unital_extension(A))
+    for key in list(table) + [(0, 0, 0)]:
+        perturbed = dict(table)
+        perturbed[key] = F.add(perturbed.get(key, F.zero), F.one)
+        assert not is_apex_algebra(Algebra(F, n, perturbed))
+
+
 def test_left_right_multiplication_traces():
     for n in (2, 3, 5):
         A = apex_algebra(Q, n)
