@@ -275,7 +275,6 @@ def cmd_verify_theorems(args) -> int:
     config = RunConfig(
         fields=tuple(t.strip() for t in args.fields.split(",") if t.strip()),
         max_n=args.max_n,
-        cap=args.cap,
         workers=args.workers,
         seed=args.seed,
     )
@@ -411,12 +410,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="also write the report to this file")
     p.set_defaults(fn=cmd_verify_theorems)
 
-    scans = ("automorphisms", "rb-enumerate", "rb-index", "verify-theorems")
+    scans = ("automorphisms", "rb-enumerate", "rb-index")
     for name in scans + ("check-identity", "simplicity", "decompose"):
         sub.choices[name].add_argument(
             "--cap", type=int, default=10 ** 7,
             help="abort enumerations larger than this")
-    for name in scans:
+    for name in scans + ("verify-theorems",):
         sub.choices[name].add_argument(
             "--workers", type=_at_least(1), default=1,
             help="processes for exhaustive scans (at least 1; capped at the "

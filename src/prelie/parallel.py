@@ -37,7 +37,7 @@ from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import Pipe, util
 
 from . import linalg as la
-from .algebras import Algebra
+from .fields import Field
 
 __all__ = ["check_scan", "pool_size", "run_chunks", "scan_matrices"]
 
@@ -156,37 +156,38 @@ def run_chunks(chunk_fn, common_args: tuple, total: int, workers: int = 1) -> li
     return [item for chunk in chunks for item in chunk]
 
 
-def check_scan(A: Algebra, cap: int) -> None:
+def check_scan(F: Field, dim: int, cap: int) -> None:
     """Refuse, by `la.check_cap`, a scan over an infinite field, or one whose
     q^(dim^2) matrices or q^2 field table entries exceed `cap`, before its
     equations cost."""
-    la.check_cap(A.field, A.dim * A.dim, "candidate matrices", cap)
-    la.check_cap(A.field, 2, "field table entries", cap)
+    la.check_cap(F, dim * dim, "candidate matrices", cap)
+    la.check_cap(F, 2, "field table entries", cap)
 
 
-def scan_matrices(A: Algebra, equations: list, leaf=None,
+def scan_matrices(F: Field, dim: int, equations: list, leaf=None,
                   workers: int = 1) -> list:
-    """Every dim x dim matrix M over the finite field of A that solves
+    """Every dim x dim matrix M over the finite field F that solves
     `equations` and passes leaf(F, M), if given, in canonical order.
 
     An equation is a list of (coefficient, monomial) terms summing to zero
     in the dim^2 entries of M (entry (k, m) is variable k * dim + m, and a
-    monomial is the tuple of its variables).  Callers refuse oversized
-    scans with `check_scan` first, before they build the equations.
+    monomial is the tuple of its variables; a constant term has the empty
+    monomial).  Callers refuse oversized scans with `check_scan` first,
+    before they build the equations.
     """
-    F = A.field
-    order = _search_order(A.dim * A.dim, equations)
+    order = _search_order(dim * dim, equations)
     depth = [0] * len(order)  # entry -> depth
     for d, v in enumerate(order):
         depth[v] = d
     processes = pool_size(workers)
     # At least four prefixes a process before pruning, q^prefix, so that
-    # the pool can even out subtrees of unequal size.
-    prefix = 1
+    # the pool can even out subtrees of unequal size.  A 0 x 0 scan has
+    # the empty prefix, and the empty matrix as its one candidate.
+    prefix = min(1, len(order))
     while prefix < len(order) and F.order ** prefix < 4 * processes:
         prefix += 1
     tables = _tables(F)
-    kernel = (F, A.dim, depth, tables, _compile(tables[1], equations, depth),
+    kernel = (F, dim, depth, tables, _compile(tables[1], equations, depth),
               leaf, prefix)
     found, rest = _search(kernel, None,
                           SCAN_BUDGET if processes > 1 else None)

@@ -350,8 +350,9 @@ def enumerate_rb_operators(A: Algebra, weight: Scalar, cap: int = 10 ** 7,
     of the defining identity (see `parallel.scan_matrices`); `cap` bounds
     the size q^(dim^2) of the matrix space all the same.
     """
-    check_scan(A, cap)
-    return scan_matrices(A, _rb_equations(A, weight), workers=workers)
+    check_scan(A.field, A.dim, cap)
+    return scan_matrices(A.field, A.dim, _rb_equations(A, weight),
+                         workers=workers)
 
 
 def _rb_equations(A: Algebra, weight: Scalar) -> list[list[tuple]]:

@@ -31,6 +31,7 @@ from .algebras import (apex_algebra, check_identity, dot_product_algebra,
                        infinite_truncation_algebra, is_ideal, is_simple,
                        permute_basis, plus_algebra, rebased_first_row,
                        right_mult_matrix, unital_extension)
+from .errors import CapError
 from .fields import Field, FieldError, make_field
 from .reports import residuals_vanish
 from .rota_baxter import (classify_case, enumerate_decompositions,
@@ -53,7 +54,7 @@ __all__ = ["CheckRecord", "RunConfig", "SUITES", "run_suite"]
 
 SUITES = ("core", "t1", "t2", "cor", "examples", "remarks", "all")
 
-ENUM_BUDGET = 10 ** 5  # matrices per exhaustive scan inside a suite
+ENUM_BUDGET = 10 ** 5  # matrices or subspace pairs per scan in a suite
 
 
 @dataclass(frozen=True)
@@ -62,13 +63,12 @@ class RunConfig:
 
     fields: tuple[str, ...] = ("q", "qi", "gf3", "gf5")
     max_n: int = 4
-    cap: int = 10 ** 7
     workers: int = 1
     seed: int = 0
 
     def as_dict(self) -> dict:
         return {"fields": list(self.fields), "max_n": self.max_n,
-                "cap": self.cap, "workers": self.workers, "seed": self.seed}
+                "workers": self.workers, "seed": self.seed}
 
 
 @dataclass
@@ -105,12 +105,11 @@ def _finite_odd(fields: list[Field]) -> list[Field]:
     return [F for F in fields if F.is_finite and F.char != 2]
 
 
-def _scan_pairs(fields: list[Field], max_n: int, cap: int):
+def _scan_pairs(fields: list[Field], max_n: int):
     """(field, n) pairs whose full matrix space fits the scan budget."""
-    budget = min(ENUM_BUDGET, cap)
     for F in _finite_odd(fields):
         for n in range(2, max_n + 1):
-            if F.order ** (n * n) <= budget:
+            if F.order ** (n * n) <= ENUM_BUDGET:
                 yield F, n
 
 
@@ -142,7 +141,7 @@ class _SuiteRun:
         if key not in self._memo:
             A = apex_algebra(F, n)
             self._memo[key] = A, enumerate_rb_operators(
-                A, w, cap=self.config.cap, workers=self.config.workers)
+                A, w, workers=self.config.workers)
         return self._memo[key]
 
     def operator_sets(self):
@@ -150,8 +149,7 @@ class _SuiteRun:
             config = self.config
             rng = _rng_for(config, "operator-sets")
             self._sets = [(F, n, w) + self.lookup(F, n, w)
-                          for F, n in _scan_pairs(self.fields, config.max_n,
-                                                  config.cap)
+                          for F, n in _scan_pairs(self.fields, config.max_n)
                           for w in _weights(F, rng)]
         return self._sets
 
@@ -206,7 +204,7 @@ def _check_simplicity(run: _SuiteRun) -> tuple[bool, str | None]:
         for n in range(2, run.config.max_n + 1):
             if F.order ** n > 10 ** 4:
                 continue
-            rep = is_simple(apex_algebra(F, n), cap=run.config.cap)
+            rep = is_simple(apex_algebra(F, n))
             if not rep.ok:
                 return False, f"proper ideal over {F!r} at n={n}"
     for m in (2, 3):
@@ -227,12 +225,10 @@ def _check_derivations(run: _SuiteRun) -> tuple[bool, str | None]:
 
 def _check_automorphisms(run: _SuiteRun) -> tuple[bool, str | None]:
     ran = 0
-    for F, n in _scan_pairs(run.fields, run.config.max_n, run.config.cap):
+    for F, n in _scan_pairs(run.fields, run.config.max_n):
         A = apex_algebra(F, n)
-        found = enumerate_automorphisms(A, cap=run.config.cap,
-                                        workers=run.config.workers)
-        rep = automorphism_orthogonal_correspondence(A, found,
-                                                     cap=run.config.cap)
+        found = enumerate_automorphisms(A, workers=run.config.workers)
+        rep = automorphism_orthogonal_correspondence(A, found)
         ran += 1
         if not rep.ok:
             return False, f"group mismatch at {F!r} n={n}: {rep.details}"
@@ -333,14 +329,18 @@ def _check_splitting(run: _SuiteRun) -> tuple[bool, str | None]:
 
 
 def _check_decompositions(run: _SuiteRun) -> tuple[bool, str | None]:
+    """Over each finite odd field whose subspace pairs at n = 2 fit the
+    suite's budget (`enumerate_decompositions` refuses the others)."""
     ran = 0
     for F in _finite_odd(run.fields):
-        if F.order > 5:
-            continue
-        ran += 1
         A = apex_algebra(F, 2)
         w = F.one
-        for rec in enumerate_decompositions(A, cap=run.config.cap):
+        try:
+            recs = enumerate_decompositions(A, cap=ENUM_BUDGET)
+        except CapError:
+            continue
+        ran += 1
+        for rec in recs:
             R = splitting_operator(A, rec["part1"], rec["part2"], w)
             if not is_rb_operator(A, R, w).ok:
                 return False, f"decomposition over {F!r} builds a " \
@@ -466,7 +466,7 @@ def _check_unital_lifts(run: _SuiteRun) -> tuple[bool, str | None]:
     U = unital_extension(A)
     if not check_identity(U, "pre_lie").ok:
         return False, "unital extension is not left-symmetric"
-    for Q in enumerate_orthogonal(gf3, 2, cap=run.config.cap):
+    for Q in enumerate_orthogonal(gf3, 2):
         phi = embed_orthogonal(gf3, Q, 3)
         lift = _embed(gf3, phi, gf3.one)
         if not is_automorphism(U, lift).ok:

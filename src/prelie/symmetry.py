@@ -257,9 +257,19 @@ def _embed(F: Field, B: Matrix, corner) -> Matrix:
 
 
 def enumerate_orthogonal(F: Field, m: int, cap: int = 10 ** 7) -> list[Matrix]:
-    """All orthogonal m x m matrices over a finite field, canonical order."""
-    return [M for M in la.enumerate_matrices(F, m, m, cap=cap)
-            if la.is_orthogonal(F, M)]
+    """All orthogonal m x m matrices over a finite field, canonical order.
+
+    The set is decided by the exact pruned search of
+    `parallel.scan_matrices` over Q^T Q = E: one equation
+    sum_k Q_ka Q_kb - delta_ab = 0 for each pair of columns a <= b (entry
+    (k, a) is variable k * m + a).  `cap` bounds the size q^(m^2) of the
+    matrix space as in `enumerate_automorphisms`.
+    """
+    check_scan(F, m, cap)
+    return scan_matrices(F, m, [
+        [(F.one, (k * m + a, k * m + b)) for k in range(m)]
+        + ([(F.neg(F.one), ())] if a == b else [])
+        for a in range(m) for b in range(a, m)])
 
 
 def enumerate_automorphisms(A: Algebra, cap: int = 10 ** 7,
@@ -272,9 +282,9 @@ def enumerate_automorphisms(A: Algebra, cap: int = 10 ** 7,
     `parallel.scan_matrices`); `cap` bounds the size q^(dim^2) of the
     matrix space all the same.
     """
-    check_scan(A, cap)
-    return scan_matrices(A, _product_equations(A), la.is_invertible,
-                         workers=workers)
+    check_scan(A.field, A.dim, cap)
+    return scan_matrices(A.field, A.dim, _product_equations(A),
+                         la.is_invertible, workers=workers)
 
 
 def _product_equations(A: Algebra) -> list[list[tuple]]:

@@ -14,7 +14,7 @@ from prelie.algebras import apex_algebra, check_identity, is_simple
 from prelie.errors import CapError
 from prelie.fields import PrimeField, RationalField
 from prelie.rota_baxter import enumerate_decompositions, enumerate_rb_operators
-from prelie.symmetry import enumerate_automorphisms
+from prelie.symmetry import enumerate_automorphisms, enumerate_orthogonal
 
 Q = RationalField()
 GF3 = PrimeField(3)
@@ -40,6 +40,8 @@ SITES = {
         lambda F, cap: enumerate_rb_operators(apex_algebra(F, 2), F.one,
                                               cap=cap),
         GF3, 81),
+    "orthogonal": (lambda F, cap: enumerate_orthogonal(F, 2, cap=cap),
+                   GF3, 81),
     "scan-field-tables": (
         lambda F, cap: enumerate_automorphisms(apex_algebra(F, 1), cap=cap),
         GF5, 25),

@@ -174,19 +174,36 @@ def test_automorphisms_frozen_group_and_correspondence(capsys):
 
 
 def test_automorphisms_scans_the_group_once(capsys, monkeypatch):
+    # One scan of the 3 x 3 group and one of the 2 x 2 orthogonal blocks.
     from prelie import symmetry
-    scan, calls = symmetry.scan_matrices, []
+    scan, sizes = symmetry.scan_matrices, []
 
-    def counting_scan(A, *args, **kwargs):
-        calls.append(A)
-        return scan(A, *args, **kwargs)
+    def counting_scan(F, dim, *args, **kwargs):
+        sizes.append(dim)
+        return scan(F, dim, *args, **kwargs)
 
     monkeypatch.setattr(symmetry, "scan_matrices", counting_scan)
     code, rep = run_json(capsys, "automorphisms", "--n", "3", "--field",
                          "gf3")
     assert code == 0
     assert rep["count"] == 8 and rep["block_correspondence"]["holds"]
-    assert len(calls) == 1
+    assert sorted(sizes) == [2, 3]
+
+
+def test_orthogonal_blocks_need_no_walk_over_all_matrices(capsys,
+                                                          monkeypatch):
+    from prelie import linalg
+    from prelie.fields import make_field
+    from prelie.symmetry import enumerate_orthogonal
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked every matrix")
+
+    monkeypatch.setattr(linalg, "enumerate_matrices", refuse)
+    assert len(enumerate_orthogonal(make_field("gf3"), 2)) == 8
+    code, rep = run_json(capsys, "automorphisms", "--n", "3", "--field",
+                         "gf3")
+    assert code == 0 and rep["block_correspondence"]["holds"]
 
 
 def test_automorphisms_non_apex_has_no_correspondence(capsys):
@@ -472,6 +489,14 @@ def test_scan_backed_checks_without_a_scan_fail(capsys, suite, uncovered):
         assert "no finite field small enough" in check["witness"]
 
 
+def test_decompositions_cover_a_field_of_order_above_five(capsys):
+    code, rep = run_json(capsys, "verify-theorems", "--suite", "cor",
+                         "--fields", "gf7", "--max-n", "2")
+    assert code == 0
+    check = {c["name"]: c for c in rep["checks"]}["decomposition-operators"]
+    assert check["ok"] and check["witness"] is None
+
+
 def test_verify_theorems_out_file(capsys, tmp_path):
     out = tmp_path / "report.json"
     code, printed, _ = run_cli(capsys, "verify-theorems", "--suite",
@@ -627,6 +652,15 @@ def test_cap_is_a_usage_error_where_nothing_is_enumerated(capsys, command):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "unrecognized arguments: --cap 2" in err
+    assert "Traceback" not in err
+
+
+def test_verify_theorems_takes_no_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-theorems", "--suite", "all", "--cap", "5000"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --cap 5000" in err
     assert "Traceback" not in err
 
 

@@ -2,10 +2,10 @@
 
 The differential tests hold every scan to a filter over the plain
 enumeration, so a scan that drops a matrix fails as surely as one that
-admits a wrong one.  Beyond the reach of that filter, automorphism counts
-are held to the closed-form order of the orthogonal group.  The equations
-the scans solve are held to their slow expansion through the polynomial
-ring, on random tables.
+admits a wrong one.  Beyond the reach of that filter, automorphism and
+orthogonal-block counts are held to the closed-form order of the
+orthogonal group.  The equations the scans solve are held to their slow
+expansion through the polynomial ring, on random tables.
 """
 
 import multiprocessing
@@ -26,14 +26,16 @@ from prelie.algebras import (Algebra, _ring_product, apex_algebra,
 from prelie.errors import CapError
 from prelie.fields import make_field
 from prelie.linalg import (enumerate_matrices, identity_matrix,
-                           is_invertible, mat_scale, vscale, zero_matrix)
+                           is_invertible, is_orthogonal, mat_scale, vscale,
+                           zero_matrix)
 from prelie.polyring import PolyRing
 from prelie.rota_baxter import (_rb_equations, enumerate_rb_operators,
                                 is_rb_operator, rb_residual_report,
                                 reflect_operator)
 from prelie.symmetry import (_product_equations,
                              automorphism_residual_report,
-                             enumerate_automorphisms, is_automorphism)
+                             enumerate_automorphisms, enumerate_orthogonal,
+                             is_automorphism)
 
 GF5 = make_field("gf5")
 
@@ -71,6 +73,20 @@ def test_automorphism_scan_matches_residual_filter(spec, n):
                 if automorphism_residual_report(A, M).ok
                 and is_invertible(F, M)]
     assert enumerate_automorphisms(A) == expected
+
+
+ORTHOGONAL_CASES = [(spec, m) for spec in ("gf3", "gf5", "gf7", "gf9",
+                                            "gf11", "gf13")
+                    for m in range(4)
+                    if make_field(spec).order ** (m * m) <= 2 * 10 ** 5]
+
+
+@pytest.mark.parametrize("spec,m", ORTHOGONAL_CASES)
+def test_orthogonal_scan_matches_the_plain_filter(spec, m):
+    F = make_field(spec)
+    expected = [Q for Q in enumerate_matrices(F, m, m, cap=2 * 10 ** 5)
+                if is_orthogonal(F, Q)]
+    assert enumerate_orthogonal(F, m, cap=2 * 10 ** 5) == expected
 
 
 def test_scans_match_the_checkers_off_the_apex_table():
@@ -566,6 +582,14 @@ def test_automorphism_counts_equal_the_orthogonal_group_order(spec, n,
     found = enumerate_automorphisms(A, cap=F.order ** (n * n))
     assert len(found) == expected
     assert all(is_automorphism(A, M).ok for M in found)
+
+
+@pytest.mark.parametrize("spec,m", [("gf5", 3), ("gf7", 3), ("gf3", 4)])
+def test_orthogonal_counts_equal_the_orthogonal_group_order(spec, m):
+    F = make_field(spec)
+    found = enumerate_orthogonal(F, m, cap=F.order ** (m * m))
+    assert len(found) == orthogonal_group_order(m, F.order)
+    assert all(is_orthogonal(F, Q) for Q in found)
 
 
 def test_the_field_tables_count_against_the_cap():
