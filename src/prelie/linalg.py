@@ -34,7 +34,7 @@ __all__ = [
     "is_lagrangian", "is_orthogonal", "is_skew_symmetric", "is_zero_matrix",
     "is_zero_vector", "kernel", "mat_add", "mat_mul", "mat_scale", "mat_sub",
     "mat_vec", "matrix_from_json", "matrix_sort_key", "random_matrix",
-    "random_vector", "rref", "solve", "span", "subspace_sum", "trace",
+    "random_vector", "rref", "span", "subspace_sum", "trace",
     "transpose", "vadd", "vneg", "vscale", "vsub", "zero_matrix",
     "zero_vector",
 ]
@@ -148,21 +148,6 @@ def rref(F: Field, M: Sequence[Sequence[Scalar]]) -> tuple[Matrix, int, tuple[in
         if r == nr:
             break
     return tuple(tuple(row) for row in rows), r, tuple(pivots)
-
-
-def solve(F: Field, M: Matrix, b: Vector) -> Vector | None:
-    """One solution of M x = b with free variables set to zero, else None."""
-    if len(M) != len(b):
-        raise DimensionError("rows of M and length of b differ")
-    nc = len(M[0]) if M else 0
-    aug = [list(row) + [val] for row, val in zip(M, b)]
-    R, rank, pivots = rref(F, aug)
-    if nc in pivots:
-        return None
-    x = [F.zero] * nc
-    for r, c in enumerate(pivots):
-        x[c] = R[r][nc]
-    return tuple(x)
 
 
 def kernel(F: Field, M: Matrix, ncols: int | None = None) -> "Subspace":

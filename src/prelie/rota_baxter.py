@@ -199,18 +199,21 @@ def splitting_operator(A: Algebra, part1: Subspace, part2: Subspace,
 
 def _projection(A: Algebra, part1: Subspace, part2: Subspace,
                 weight: Scalar) -> Matrix:
-    """The operator of `splitting_operator`, for parts already checked."""
+    """The operator of `splitting_operator`, for parts already checked.
+
+    With M the basis of part1 then part2 as columns, row t of M^-1 gives
+    the t-th coordinate of a vector in that basis, so
+    R = -w * M' * M^-1, where M' is M with the part1 columns zeroed.
+    One elimination of [M | E] gives M^-1.
+    """
     F = A.field
-    rows = part1.basis + part2.basis
-    M = la.transpose(rows)
-    cols = []
-    for i in range(A.dim):
-        coords = la.solve(F, M, A.basis(i))
-        x2 = la.zero_vector(F, A.dim)
-        for t in range(part1.dim, A.dim):
-            x2 = la.vadd(F, x2, la.vscale(F, coords[t], rows[t]))
-        cols.append(la.vscale(F, F.neg(weight), x2))
-    return la.transpose(tuple(cols))
+    n = A.dim
+    M = la.transpose(part1.basis + part2.basis)
+    E = la.identity_matrix(F, n)
+    reduced = la.rref(F, [row + e for row, e in zip(M, E)])[0]
+    inverse = [row[n:] for row in reduced]
+    kept = la.transpose((la.zero_vector(F, n),) * part1.dim + part2.basis)
+    return la.mat_scale(F, F.neg(weight), la.mat_mul(F, kept, inverse))
 
 
 def splitting_certificate(A: Algebra, R: Matrix,

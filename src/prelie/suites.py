@@ -25,6 +25,7 @@ import random
 import time
 import zlib
 from dataclasses import dataclass
+from itertools import chain
 
 from . import linalg as la
 from .algebras import (apex_algebra, check_identity, dot_product_algebra,
@@ -235,16 +236,32 @@ def _check_automorphisms(run: _SuiteRun) -> tuple[bool, str | None]:
     return _covered(ran)
 
 
+def _genuine_symmetries(F: Field, n: int) -> tuple:
+    """Fixed symmetries of the apex algebra of dimension n, drawn from no
+    rng: the automorphisms diag(E, 1) and diag(P, 1), P the cyclic shift
+    with its first entry negated, and the derivation diag(S, 0) with
+    S_ij = j - i."""
+    m = n - 1
+    shift = tuple(tuple(F.zero if j != (i + 1) % m else
+                        F.neg(F.one) if i == 0 else F.one
+                        for j in range(m)) for i in range(m))
+    skew = tuple(tuple(F.from_int(j - i) for j in range(m))
+                 for i in range(m))
+    return (embed_orthogonal(F, la.identity_matrix(F, m), n),
+            embed_orthogonal(F, shift, n), embed_skew(F, skew, n))
+
+
 def _check_residuals_symmetry(run: _SuiteRun) -> tuple[bool, str | None]:
     """The automorphism and derivation residual systems agree with the
-    generic checkers on random matrices.  Each verdict stops at the first
+    generic checkers on genuine symmetries, so that the accept side is
+    compared too, and on random matrices.  Each verdict stops at the first
     nonzero residual; `residual_report` is the full oracle."""
     rng = _rng_for(run.config, "residuals-symmetry")
     for F in run.fields:
         for n in range(2, run.config.max_n + 1):
             A = apex_algebra(F, n)
-            for _ in range(40):
-                M = la.random_matrix(F, n, n, rng)
+            randoms = (la.random_matrix(F, n, n, rng) for _ in range(40))
+            for M in chain(_genuine_symmetries(F, n), randoms):
                 mult = _product_failure(A, M) is None
                 if residuals_vanish(F, automorphism_residuals(A, M)) != mult:
                     return False, f"automorphism residuals disagree at " \

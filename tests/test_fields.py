@@ -63,6 +63,51 @@ def test_quadratic_over_q_axioms(x):
     assert QI.sub(a, a) == QI.zero
 
 
+# ------------------------------------------------ quadratic products
+
+def base_op_mul(F, a, b):
+    """A quadratic product through the base field's own operations."""
+    B = F.base
+    a0, a1 = a
+    b0, b1 = b
+    return (B.add(B.mul(a0, b0), B.mul(F.d, B.mul(a1, b1))),
+            B.add(B.mul(a0, b1), B.mul(a1, b0)))
+
+
+def base_op_add(F, a, b):
+    B = F.base
+    return (B.add(a[0], b[0]), B.add(a[1], b[1]))
+
+
+QUADRATIC_OVER_Q = [make_field({"kind": "quadratic",
+                                "base": {"kind": "rational"}, "d": d})
+                    for d in ("-1", "2", "-3", "1/2")]
+
+# a zero coordinate one time in three, since a real operand or a zero
+# summand takes a shorter path
+coordinates = st.one_of(st.just(Fraction(0)), rationals, rationals)
+
+
+@pytest.mark.parametrize("F", QUADRATIC_OVER_Q, ids=repr)
+@given(a=st.tuples(coordinates, coordinates),
+       b=st.tuples(coordinates, coordinates))
+def test_quadratic_over_q_products_match_the_base_ops(F, a, b):
+    for op, ref in ((F.mul, base_op_mul), (F.add, base_op_add)):
+        got = op(a, b)
+        assert got == ref(F, a, b)
+        assert all(type(x) is Fraction for x in got)
+
+
+@pytest.mark.parametrize("spec", ["gf9", "gf25"])
+def test_quadratic_over_prime_products_match_the_base_ops(spec):
+    F = make_field(spec)
+    elems = list(F.elements())
+    for a in elems:
+        for b in elems:
+            assert F.mul(a, b) == base_op_mul(F, a, b)
+            assert F.add(a, b) == base_op_add(F, a, b)
+
+
 # ------------------------------------------------------------ square roots
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13])

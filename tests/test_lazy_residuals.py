@@ -8,11 +8,13 @@ oracle, so the two verdicts must agree on every input, genuine or not.
 """
 
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from prelie import linalg as la
+from prelie import suites
 from prelie.algebras import (apex_algebra, unital_extension,
                              upper_triangular_algebra)
 from prelie.errors import DimensionError
@@ -24,7 +26,8 @@ from prelie.rota_baxter import (enumerate_rb_operators,
                                 reflect_operator, skew_pairing_operator,
                                 splitting_operator)
 from prelie.symmetry import (automorphism_residuals, derivation_matrices,
-                             derivation_residuals, enumerate_automorphisms)
+                             derivation_residuals, enumerate_automorphisms,
+                             is_automorphism, is_derivation)
 
 from test_sparse_kernels import CountingField
 
@@ -176,3 +179,31 @@ def test_vanish_stops_at_the_first_nonzero_residual(kind):
     assert len(lazy) == 1 and max(lazy) <= 1
     for n, (_, full) in counts.items():
         assert full >= (n ** 3 if kind != "derivation" else 2 * n - 1)
+
+
+# ------------------------------------------- the suite's accept side
+
+@pytest.mark.parametrize("spec", sorted(FIELDS))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_suite_samples_are_genuine_symmetries(spec, n):
+    A = APEX[spec, n]
+    identity, shift, skew = suites._genuine_symmetries(FIELDS[spec], n)
+    assert identity == la.identity_matrix(FIELDS[spec], n)
+    assert is_automorphism(A, identity) and is_automorphism(A, shift)
+    assert shift != identity
+    assert is_derivation(A, skew)
+    assert not la.is_zero_matrix(FIELDS[spec], skew) or n == 2
+
+
+def test_symmetry_residuals_check_compares_the_accept_side(monkeypatch):
+    # A residual stream that rejects every matrix agrees with the checkers
+    # on random matrices, which are rarely automorphisms; the genuine
+    # samples show the disagreement whatever the draws.
+    def rejecting(A, M):
+        return chain(automorphism_residuals(A, M), [("extra", A.field.one)])
+
+    config = suites.RunConfig(fields=("gf3",), max_n=2)
+    assert suites._check_residuals_symmetry(suites._SuiteRun(config))[0]
+    monkeypatch.setattr(suites, "automorphism_residuals", rejecting)
+    ok, witness = suites._check_residuals_symmetry(suites._SuiteRun(config))
+    assert not ok and "automorphism residuals disagree" in witness

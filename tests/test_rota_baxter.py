@@ -14,10 +14,12 @@ from prelie.algebras import Algebra, apex_algebra, is_subalgebra
 from prelie.errors import CapError, DimensionError, FalsificationError
 from prelie.fields import (FieldError, PrimeField, QuadraticField,
                            RationalField, make_field)
-from prelie.linalg import (column_space, identity_matrix, is_lagrangian,
-                           kernel, mat_add, mat_mul, mat_scale,
-                           matrix_sort_key, random_matrix, span, transpose)
-from prelie.rota_baxter import (classify_case, enumerate_decompositions,
+from prelie.linalg import (basis_vector, column_space, identity_matrix,
+                           is_invertible, is_lagrangian, kernel, mat_add,
+                           mat_mul, mat_scale, matrix_sort_key, random_matrix,
+                           span, transpose, vadd, vscale, zero_vector)
+from prelie.rota_baxter import (_projection, classify_case,
+                                enumerate_decompositions,
                                 enumerate_rb_operators, is_rb_operator,
                                 is_splitting, is_trivial_operator,
                                 isotropic_column_operator,
@@ -27,6 +29,8 @@ from prelie.rota_baxter import (classify_case, enumerate_decompositions,
                                 splitting_certificate, splitting_operator,
                                 square_isotropy_check,
                                 totally_real_isotropy_check)
+
+from test_linalg import solve
 
 Q = RationalField()
 GF3 = PrimeField(3)
@@ -287,6 +291,82 @@ def test_splitting_operator_rejects_bad_parts():
         splitting_operator(I2_5, bad, apex_line, 1)
     with pytest.raises(ValueError, match="not a direct sum"):
         splitting_operator(I2_5, apex_line, apex_line, 1)
+
+
+# ------------------------------------------- splitting projection oracle
+
+def ref_projection(A, part1, part2, weight):
+    """The splitting projection one basis vector at a time: solve for its
+    coordinates in the basis of part1 then part2, keep the part2 ones."""
+    F = A.field
+    rows = part1.basis + part2.basis
+    M = transpose(rows)
+    cols = []
+    for i in range(A.dim):
+        coords = solve(F, M, A.basis(i))
+        x2 = zero_vector(F, A.dim)
+        for t in range(part1.dim, A.dim):
+            x2 = vadd(F, x2, vscale(F, coords[t], rows[t]))
+        cols.append(vscale(F, F.neg(weight), x2))
+    return transpose(tuple(cols))
+
+
+def subalgebra_splittings(F, n):
+    """Decompositions of the apex algebra of dimension n into two
+    subalgebras: the trivial ones, and where -1 has a root i, the
+    isotropic line at n = 2 and Span{b_n} + W against a totally isotropic
+    U = Span{b_2t-1 + i b_2t : t <= k}, W = Span{b_2t-1 : t <= k} plus the
+    other hyperplane vectors, for k = 1 .. (n - 1) // 2."""
+    whole, nothing = span(F, n, identity_matrix(F, n)), span(F, n, [])
+    out = [(whole, nothing), (nothing, whole)]
+    i = F.sqrt(F.neg(F.one))
+    if i is None:
+        return out
+    if n == 2:
+        out.append(isotropic_line_decomposition(F))
+    b = lambda t: basis_vector(F, n, t)
+    for k in range(1, (n - 1) // 2 + 1):
+        U = [vadd(F, b(2 * t), vscale(F, i, b(2 * t + 1)))
+             for t in range(k)]
+        W = [b(2 * t) for t in range(k)] + [b(c) for c in range(2 * k, n)]
+        out += [(span(F, n, W), span(F, n, U)), (span(F, n, U), span(F, n, W))]
+    return out
+
+
+def random_direct_sums(F, n, rng):
+    """The two halves of a random basis of F^n, split at every k."""
+    while True:
+        basis = random_matrix(F, n, n, rng)
+        if is_invertible(F, basis):
+            break
+    return [(span(F, n, basis[:k]), span(F, n, basis[k:]))
+            for k in range(n + 1)]
+
+
+PROJECTION_FIELDS = [Q, QI, GF5, PrimeField(13)]
+
+
+@pytest.mark.parametrize("F", PROJECTION_FIELDS, ids=repr)
+@pytest.mark.parametrize("n", range(2, 7))
+def test_splitting_operators_match_the_solve_oracle(F, n):
+    A = apex_algebra(F, n)
+    w = F.from_int(3)
+    for part1, part2 in subalgebra_splittings(F, n):
+        R = splitting_operator(A, part1, part2, w)
+        assert R == ref_projection(A, part1, part2, w)
+        assert is_rb_operator(A, R, w)
+        assert splitting_certificate(A, R, w)
+
+
+@pytest.mark.parametrize("F", PROJECTION_FIELDS, ids=repr)
+@pytest.mark.parametrize("n", range(2, 7))
+def test_projection_matches_the_solve_oracle_on_any_direct_sum(F, n):
+    rng = random.Random(n)
+    A = apex_algebra(F, n)
+    for part1, part2 in random_direct_sums(F, n, rng):
+        w = F.random(rng)
+        assert _projection(A, part1, part2, w) == \
+            ref_projection(A, part1, part2, w)
 
 
 def test_is_splitting_is_the_quadratic_relation():
