@@ -321,13 +321,7 @@ class QuadraticField(Field):
 
     def add(self, a, b):
         B = self.base
-        a0, a1 = a
-        b0, b1 = b
-        if self.char:  # a prime base reduces mod p in its own ops
-            return (B.add(a0, b0), B.add(a1, b1))
-        # Over Q a zero coordinate is passed through, not added.
-        return (b0 if not a0 else a0 if not b0 else a0 + b0,
-                b1 if not a1 else a1 if not b1 else a1 + b1)
+        return (B.add(a[0], b[0]), B.add(a[1], b[1]))
 
     def neg(self, a):
         B = self.base
@@ -340,13 +334,9 @@ class QuadraticField(Field):
         if self.char:
             return (B.add(B.mul(a0, b0), B.mul(self.d, B.mul(a1, b1))),
                     B.add(B.mul(a0, b1), B.mul(a1, b0)))
-        # Over Q: a real operand takes two products; otherwise each
-        # coordinate is one Fraction built from integer numerators and
-        # denominators, reduced once (Knuth, TAOCP vol. 2, 4.5.1).
-        if not a1:
-            return (a0 * b0, a0 * b1)
-        if not b1:
-            return (a0 * b0, a1 * b0)
+        # Over Q each coordinate is one Fraction built from integer
+        # numerators and denominators, reduced once (Knuth, TAOCP vol. 2,
+        # 4.5.1).
         p0, q0 = a0.numerator, a0.denominator
         p1, q1 = a1.numerator, a1.denominator
         r0, s0 = b0.numerator, b0.denominator

@@ -30,7 +30,6 @@ when the process that started them dies without stopping them.
 
 from __future__ import annotations
 
-import functools
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -188,7 +187,7 @@ def scan_matrices(F: Field, dim: int, equations: list, leaf=None,
     while prefix < len(order) and F.order ** prefix < 4 * processes:
         prefix += 1
     tables = _tables(F)
-    kernel = (F, dim, depth, tables, _compile(tables[0], equations, depth),
+    kernel = (F, dim, depth, tables, _compile(tables[1], equations, depth),
               leaf, prefix)
     found, rest = _search(kernel, None,
                           SCAN_BUDGET if processes > 1 else None)
@@ -216,29 +215,26 @@ def _search_order(nvars: int, equations: list) -> list[int]:
     return order
 
 
-@functools.lru_cache(maxsize=16)
-def _tables(F: Field) -> tuple:
-    """F's scalars in F.elements() order, in which zero is index 0, and
-    add, mul, neg and inv of F on those indices; inv[0] is 0.  Built once
-    per field (fields compare by descriptor) and shared by every scan of
-    it, so every part is a tuple."""
-    elems = tuple(F.elements())
+def _tables(F) -> tuple:
+    """F's scalars in F.elements() order, in which zero is index 0, the
+    scalar -> index map, and add, mul, neg and inv of F on those indices;
+    inv[0] is 0."""
+    elems = list(F.elements())
     index = {x: i for i, x in enumerate(elems)}
-    add = tuple(tuple(index[F.add(a, b)] for b in elems) for a in elems)
-    mul = tuple(tuple(index[F.mul(a, b)] for b in elems) for a in elems)
-    neg = tuple(index[F.neg(a)] for a in elems)
-    inv = (0,) + tuple(index[F.inv(a)] for a in elems[1:])
-    return elems, add, mul, neg, inv
+    add = [[index[F.add(a, b)] for b in elems] for a in elems]
+    mul = [[index[F.mul(a, b)] for b in elems] for a in elems]
+    neg = [index[F.neg(a)] for a in elems]
+    inv = [0] + [index[F.inv(a)] for a in elems[1:]]
+    return elems, index, add, mul, neg, inv
 
 
-def _compile(elems: tuple, equations: list,
+def _compile(index: dict, equations: list,
              depth: list[int]) -> list[list[tuple]]:
-    """The equations in plain ints (a scalar becomes its index in `elems`),
-    by the depth of their last variable.  Each is a polynomial in that
+    """The equations in plain ints (`index` maps a scalar to its index), by
+    the depth of their last variable.  Each is a polynomial in that
     variable x: a tuple whose k-th item holds the terms of the coefficient
     of x^k, each term a coefficient index and the depths of its other
     variables."""
-    index = {x: i for i, x in enumerate(elems)}
     plan = [[] for _ in depth]
     for eq in equations:
         terms = [(index[c], sorted(depth[v] for v in mono)) for c, mono in eq]
@@ -271,7 +267,7 @@ def _search(kernel, prefixes: list | None, budget: int | None = None):
     or those from the first reached after the search nodes (partial
     assignments that pass every equation checked so far) exceed `budget`.
     """
-    F, n, depth, (elems, add, mul, neg, inv), plan, leaf, prefix = kernel
+    F, n, depth, (elems, _, add, mul, neg, inv), plan, leaf, prefix = kernel
     q = len(elems)
     values = [0] * len(depth)
     out = []

@@ -74,17 +74,12 @@ def base_op_mul(F, a, b):
             B.add(B.mul(a0, b1), B.mul(a1, b0)))
 
 
-def base_op_add(F, a, b):
-    B = F.base
-    return (B.add(a[0], b[0]), B.add(a[1], b[1]))
-
-
 QUADRATIC_OVER_Q = [make_field({"kind": "quadratic",
                                 "base": {"kind": "rational"}, "d": d})
                     for d in ("-1", "2", "-3", "1/2")]
 
-# a zero coordinate one time in three, since a real operand or a zero
-# summand takes a shorter path
+# a zero coordinate one time in three, where the integer formula has
+# zero numerators
 coordinates = st.one_of(st.just(Fraction(0)), rationals, rationals)
 
 
@@ -92,10 +87,9 @@ coordinates = st.one_of(st.just(Fraction(0)), rationals, rationals)
 @given(a=st.tuples(coordinates, coordinates),
        b=st.tuples(coordinates, coordinates))
 def test_quadratic_over_q_products_match_the_base_ops(F, a, b):
-    for op, ref in ((F.mul, base_op_mul), (F.add, base_op_add)):
-        got = op(a, b)
-        assert got == ref(F, a, b)
-        assert all(type(x) is Fraction for x in got)
+    got = F.mul(a, b)
+    assert got == base_op_mul(F, a, b)
+    assert all(type(x) is Fraction for x in got)
 
 
 @pytest.mark.parametrize("spec", ["gf9", "gf25"])
@@ -105,7 +99,6 @@ def test_quadratic_over_prime_products_match_the_base_ops(spec):
     for a in elems:
         for b in elems:
             assert F.mul(a, b) == base_op_mul(F, a, b)
-            assert F.add(a, b) == base_op_add(F, a, b)
 
 
 # ------------------------------------------------------------ square roots
