@@ -45,7 +45,8 @@ class Algebra:
     Indices are 0-based in code; the JSON table is 1-based.
     """
 
-    __slots__ = ("field", "dim", "table", "_cells", "_dense", "_basis")
+    __slots__ = ("field", "dim", "table", "_cells", "_row_cells", "_dense",
+                 "_basis")
 
     def __init__(self, field: Field, dim: int, table: dict):
         if dim < 1:
@@ -55,7 +56,7 @@ class Algebra:
             if not all(0 <= t < dim for t in (i, j, k)):
                 raise DimensionError(f"table index {(i, j, k)} out of range")
             if not field.is_zero(c):
-                clean[(i, j, k)] = c
+                clean[(i, j, k)] = field.one if c == field.one else c
         self.field = field
         self.dim = dim
         self.table = clean
@@ -63,20 +64,12 @@ class Algebra:
         for (i, j, k), c in sorted(clean.items()):
             cells[i][j].append((k, c))
         self._cells = tuple(tuple(tuple(cell) for cell in row) for row in cells)
-        dense = []
-        for i in range(dim):
-            row = []
-            for j in range(dim):
-                cell = self._cells[i][j]
-                if not cell:
-                    row.append(None)
-                else:
-                    v = [field.zero] * dim
-                    for k, c in cell:
-                        v[k] = c
-                    row.append(tuple(v))
-            dense.append(tuple(row))
-        self._dense = tuple(dense)
+        # for each i, the (j, cell) pairs of the nonzero cells b_i b_j
+        self._row_cells = tuple(tuple((j, cell) for j, cell in enumerate(row)
+                                      if cell) for row in self._cells)
+        self._dense = tuple(tuple(la.dense(field, dict(cell), dim) if cell
+                                  else None for cell in row)
+                            for row in self._cells)
         self._basis = tuple(la.basis_vector(field, dim, i) for i in range(dim))
 
     def basis(self, i: int) -> Vector:
@@ -86,25 +79,49 @@ class Algebra:
         v = self._dense[i][j]
         return v if v is not None else la.zero_vector(self.field, self.dim)
 
+    def basis_terms(self, i: int, j: int) -> tuple:
+        """b_i b_j as its (k, nonzero c) terms, in increasing k."""
+        return self._cells[i][j]
+
+    def product(self, x: dict, y: dict, out: dict | None = None) -> dict:
+        """The product loop: x y for sparse x and y (dicts mapping a
+        coordinate to a nonzero scalar, as `la.sparse` makes them), added
+        into the sparse `out` when given, and returned.
+
+        It visits the nonzero structure-constant cells b_i b_j of each
+        nonzero x_i whose y_j is nonzero; each new sum is zero-tested once
+        and a zero sum is dropped, so the result holds only nonzeros.  A
+        factor that is the field's `one` object (the entries of basis
+        vectors, and every structure constant equal to one) is not
+        multiplied.
+        """
+        F = self.field
+        is_zero, add, mul, one = F.is_zero, F.add, F.mul, F.one
+        out = {} if out is None else out
+        row_cells = self._row_cells
+        for i, a in x.items():
+            for j, cell in row_cells[i]:
+                b = y.get(j)
+                if b is None:
+                    continue
+                c = a if b is one else b if a is one else mul(a, b)
+                for k, ck in cell:
+                    t = c if ck is one else mul(c, ck)
+                    s = out.get(k)
+                    if s is None:
+                        out[k] = t
+                    else:
+                        s = add(s, t)
+                        if is_zero(s):
+                            del out[k]
+                        else:
+                            out[k] = s
+        return out
+
     def multiply(self, x: Vector, y: Vector) -> Vector:
         F = self.field
-        is_zero = F.is_zero
-        out = [F.zero] * self.dim
-        dense = self._dense
-        for i, xi in enumerate(x):
-            if is_zero(xi):
-                continue
-            row = dense[i]
-            for j, yj in enumerate(y):
-                if is_zero(yj):
-                    continue
-                cell = row[j]
-                if cell is None:
-                    continue
-                c = F.mul(xi, yj)
-                for k, ck in self._cells[i][j]:
-                    out[k] = F.add(out[k], F.mul(c, ck))
-        return tuple(out)
+        return la.dense(F, self.product(la.sparse(F, x), la.sparse(F, y)),
+                        self.dim)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Algebra) and self.field == other.field
@@ -538,9 +555,10 @@ def check_identity(A: Algebra, kind: str, exhaustive: bool = False,
 def is_subalgebra(A: Algebra, W: Subspace) -> CheckReport:
     """Products of basis vectors of W stay in W."""
     _check_ambient(A, W)
-    for i, x in enumerate(W.basis):
-        for j, y in enumerate(W.basis):
-            if not W.contains(A.multiply(x, y)):
+    rows = [la.sparse(A.field, x) for x in W.basis]
+    for i, x in enumerate(rows):
+        for j, y in enumerate(rows):
+            if W.reduce(A.product(x, y)):
                 return CheckReport(False, witness=(i, j))
     return CheckReport(True)
 

@@ -11,12 +11,12 @@ Scalars are plain hashable values kept in canonical form, so `==` and
 * GF(p):     `int` residue in [0, p)
 * quadratic: pair `(a, b)` of base scalars meaning a + b*sqrt(d)
 
-`Field.is_zero` is the one zero test and the kernels call it on every
-entry, so each field gives it the cheapest exact form.  Since scalars are
-canonical, falsiness is zero-ness for `Fraction` and `int`: the rationals
-and GF(p) test `not a` (as the builtin `operator.not_`, which costs no
-Python call frame), a quadratic scalar is zero when both of its base
-coordinates are.  The base class keeps the generic `a == zero`.
+`Field.is_zero` is the one zero test and the kernels call it once on
+every entry and every new sum, so each field gives it the cheapest exact
+form.  Since scalars are canonical, falsiness is zero-ness for `Fraction`
+and `int`: the rationals and GF(p) test `not a` (as the builtin
+`operator.not_`, which costs no Python call frame), a quadratic scalar is
+zero when both of its base coordinates are.  The base class keeps the generic `a == zero`.
 
 A `Field` instance is an operation handle; it never wraps scalars.
 """

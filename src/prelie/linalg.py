@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over a Field.
+"""Exact linear algebra over a Field.
 
 Vectors are tuples of scalars and matrices are tuples of row tuples; the
 field handle is passed explicitly.  Subspaces are stored as reduced row
@@ -6,19 +6,23 @@ echelon bases, which are unique, so structural equality of Subspace values
 is subspace equality.  Indices are 0-based everywhere in code; the JSON
 layer is the only place 1-based indices appear.
 
-Storage is dense but the arithmetic skips zeros, since the matrices this
-package meets are mostly zero.  The rule: a term with a zero factor is
-never multiplied, a zero summand is never added, and a zero entry is never
-scaled; each zero is found with the field's one cheap test `F.is_zero`.
-Fields are exact and scalars canonical, so skipping a zero term gives
-the same value as computing it.
+Dense tuples are the public format, but the matrices this package meets
+are mostly zero, so the kernels work on the nonzeros.  The rule: each
+entry is zero-tested once, where it enters a kernel, with the field's one
+cheap test `F.is_zero`; after that only nonzeros are visited.  A term with
+a zero factor is never multiplied, a zero entry is never scaled, and a new
+sum is zero-tested once, a zero sum being dropped.  Inside the kernels a
+sparse vector is a dict mapping an index to a nonzero scalar (`sparse`
+makes one); `reduce_rows` is the row reduction on such rows that `rref`,
+`kernel` and `span` share.  Fields are exact and scalars canonical, so
+skipping a zero term gives the same value as computing it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations, product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapError, DimensionError
 from .fields import Field, Scalar
@@ -27,16 +31,16 @@ Vector = tuple
 Matrix = tuple
 
 __all__ = [
-    "Subspace", "basis_vector", "check_cap", "column_space", "decode_matrix",
-    "dot", "enumerate_matrices", "enumerate_projective",
-    "enumerate_subspaces", "gram_matrix",
+    "Subspace", "add_multiple", "basis_vector", "check_cap", "column_space",
+    "combine", "decode_matrix", "dense", "dot", "enumerate_matrices",
+    "enumerate_projective", "enumerate_subspaces", "gram_matrix",
     "identity_matrix", "intersect", "is_direct_sum", "is_invertible",
     "is_lagrangian", "is_orthogonal", "is_skew_symmetric", "is_zero_matrix",
     "is_zero_vector", "kernel", "mat_add", "mat_mul", "mat_scale", "mat_sub",
     "mat_vec", "matrix_from_json", "matrix_sort_key", "random_matrix",
-    "random_vector", "rref", "span", "subspace_sum", "trace",
-    "transpose", "vadd", "vneg", "vscale", "vsub", "zero_matrix",
-    "zero_vector",
+    "random_vector", "reduce_rows", "rref", "sparse", "sparse_kernel",
+    "span", "subspace_sum", "trace", "transpose", "vadd", "vneg", "vscale",
+    "vsub", "zero_matrix", "zero_vector",
 ]
 
 
@@ -68,6 +72,42 @@ def vscale(F: Field, c: Scalar, x: Vector) -> Vector:
 def is_zero_vector(F: Field, x: Vector) -> bool:
     return all(map(F.is_zero, x))
 
+def sparse(F: Field, x: Vector) -> dict:
+    """The nonzero entries of x, as a dict from index to scalar."""
+    is_zero = F.is_zero
+    return {i: a for i, a in enumerate(x) if not is_zero(a)}
+
+def dense(F: Field, v: dict, n: int) -> Vector:
+    """The length-n vector with the entries of the sparse vector v."""
+    out = [F.zero] * n
+    for i, a in v.items():
+        out[i] = a
+    return tuple(out)
+
+def add_multiple(F: Field, v: dict, c: Scalar, w: dict) -> None:
+    """v += c w in place, for sparse v and w and a nonzero c: each new sum
+    is zero-tested once, and a zero sum is dropped."""
+    is_zero, add, mul = F.is_zero, F.add, F.mul
+    for k, b in w.items():
+        t = mul(c, b)
+        s = v.get(k)
+        if s is None:
+            v[k] = t
+        else:
+            s = add(s, t)
+            if is_zero(s):
+                del v[k]
+            else:
+                v[k] = s
+
+def combine(F: Field, terms: Iterable[tuple[int, Scalar]],
+            vectors: Sequence[dict]) -> dict:
+    """The sparse sum of c vectors[k] over the (k, nonzero c) terms."""
+    out: dict = {}
+    for k, c in terms:
+        add_multiple(F, out, c, vectors[k])
+    return out
+
 def dot(F: Field, x: Vector, y: Vector) -> Scalar:
     if len(x) != len(y):
         raise DimensionError(f"dot of lengths {len(x)} and {len(y)}")
@@ -93,11 +133,49 @@ def transpose(M: Matrix) -> Matrix:
     return tuple(zip(*M)) if M else ()
 
 def mat_vec(F: Field, M: Matrix, x: Vector) -> Vector:
-    return tuple(dot(F, row, x) for row in M)
+    """M x; the nonzeros of x are taken once for all rows."""
+    is_zero, add, mul = F.is_zero, F.add, F.mul
+    n = len(x)
+    terms = tuple(sparse(F, x).items())
+    out = []
+    for row in M:
+        if len(row) != n:
+            raise DimensionError(f"{len(row)}-column row times a vector of "
+                                 f"length {n}")
+        acc = None
+        for j, b in terms:
+            a = row[j]
+            if is_zero(a):
+                continue
+            p = mul(a, b)
+            acc = p if acc is None else add(acc, p)
+        out.append(F.zero if acc is None else acc)
+    return tuple(out)
 
 def mat_mul(F: Field, A: Matrix, B: Matrix) -> Matrix:
-    Bt = transpose(B)
-    return tuple(tuple(dot(F, row, col) for col in Bt) for row in A)
+    """A B; the nonzeros of each row of B are taken once for all rows of A,
+    and each entry of A is zero-tested once."""
+    is_zero, add, mul = F.is_zero, F.add, F.mul
+    m = len(B)
+    cols = len(B[0]) if m else 0
+    if any(len(row) != cols for row in B):
+        raise DimensionError("rows of the right factor differ in length")
+    B_rows = [tuple(sparse(F, row).items()) for row in B]
+    out = []
+    for row in A:
+        if len(row) != m:
+            raise DimensionError(f"{len(row)}-column row times a matrix "
+                                 f"with {m} rows")
+        acc = [None] * cols
+        for k, a in enumerate(row):
+            if is_zero(a):
+                continue
+            for j, b in B_rows[k]:
+                p = mul(a, b)
+                s = acc[j]
+                acc[j] = p if s is None else add(s, p)
+        out.append(tuple(F.zero if s is None else s for s in acc))
+    return tuple(out)
 
 def mat_add(F: Field, A: Matrix, B: Matrix) -> Matrix:
     return tuple(vadd(F, r, s) for r, s in zip(A, B))
@@ -120,34 +198,54 @@ def trace(F: Field, A: Matrix) -> Scalar:
 
 # ------------------------------------------------------------- elimination
 
+def reduce_rows(F: Field, rows: Iterable[dict]) -> tuple[list[dict], tuple[int, ...]]:
+    """The one sparse row reduction: the reduced row echelon form of the
+    span of `rows`, returned as (reduced rows, pivot columns).
+
+    Each input row is a sparse vector, a dict mapping a column to a nonzero
+    scalar; the dicts are not modified.  Columns take pivot priority in
+    index order, so the result is the unique RREF: one row per pivot, in
+    increasing pivot order, each with a one at its pivot, no entry left of
+    it and no entry at any other pivot column.  Dependent and all-zero rows
+    leave nothing behind.  Rows are reduced one at a time against the rows
+    kept so far; a new sum is zero-tested once and a zero sum dropped.
+    """
+    inv, neg, mul, one = F.inv, F.neg, F.mul, F.one
+    tails: dict[int, dict] = {}  # pivot -> its row without the pivot's one
+    for row in rows:
+        v = dict(row)
+        for c in [c for c in v if c in tails]:
+            add_multiple(F, v, neg(v.pop(c)), tails[c])
+        if not v:
+            continue
+        p = min(v)
+        a = v.pop(p)
+        if a == one:
+            tail = v
+        else:
+            s = inv(a)
+            tail = {k: mul(s, b) for k, b in v.items()}
+        for other in tails.values():
+            f = other.pop(p, None)
+            if f is not None:
+                add_multiple(F, other, neg(f), tail)
+        tails[p] = tail
+    pivots = tuple(sorted(tails))
+    return [{p: one, **tails[p]} for p in pivots], pivots
+
+
 def rref(F: Field, M: Sequence[Sequence[Scalar]]) -> tuple[Matrix, int, tuple[int, ...]]:
     """Reduced row echelon form; returns (rref, rank, pivot columns).
 
-    The result is the unique RREF, so it doubles as a canonical form.
+    The result is the unique RREF, so it doubles as a canonical form; it
+    has as many rows as M, the rows past the rank being zero.
     """
-    is_zero, add, mul = F.is_zero, F.add, F.mul
-    rows = [list(r) for r in M]
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if not is_zero(rows[i][c])), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = F.inv(rows[r][c])
-        prow = rows[r] = [v if is_zero(v) else mul(inv, v) for v in rows[r]]
-        for i in range(nr):
-            if i != r and not is_zero(rows[i][c]):
-                f = F.neg(rows[i][c])
-                rows[i] = [v if is_zero(w) else add(v, mul(f, w))
-                           for v, w in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return tuple(tuple(row) for row in rows), r, tuple(pivots)
+    nr = len(M)
+    nc = len(M[0]) if nr else 0
+    reduced, pivots = reduce_rows(F, [sparse(F, row) for row in M])
+    rank = len(pivots)
+    R = tuple(dense(F, row, nc) for row in reduced)
+    return R + ((F.zero,) * nc,) * (nr - rank), rank, pivots
 
 
 def kernel(F: Field, M: Matrix, ncols: int | None = None) -> "Subspace":
@@ -156,18 +254,26 @@ def kernel(F: Field, M: Matrix, ncols: int | None = None) -> "Subspace":
         if not M:
             raise DimensionError("kernel of an empty matrix needs ncols")
         ncols = len(M[0])
-    R, rank, pivots = rref(F, M) if M else ((), 0, ())
+    return sparse_kernel(F, [sparse(F, row) for row in M], ncols)
+
+
+def sparse_kernel(F: Field, rows: Iterable[dict], ncols: int) -> "Subspace":
+    """Null space of the sparse rows (as `reduce_rows` takes them) as a
+    canonical Subspace of F^ncols."""
+    reduced, pivots = reduce_rows(F, rows)
     pivset = set(pivots)
-    basis = []
+    neg, one = F.neg, F.one
+    null = []
     for free in range(ncols):
         if free in pivset:
             continue
-        v = [F.zero] * ncols
-        v[free] = F.one
-        for r, c in enumerate(pivots):
-            v[c] = F.neg(R[r][free])
-        basis.append(tuple(v))
-    return span(F, ncols, basis)
+        v = {free: one}
+        for row, c in zip(reduced, pivots):
+            a = row.get(free)
+            if a is not None:
+                v[c] = neg(a)
+        null.append(v)
+    return _subspace(F, ncols, reduce_rows(F, null)[0])
 
 
 def is_invertible(F: Field, M: Matrix) -> bool:
@@ -176,7 +282,7 @@ def is_invertible(F: Field, M: Matrix) -> bool:
         return True
     if len(M[0]) != n:
         return False
-    return rref(F, M)[1] == n
+    return len(reduce_rows(F, [sparse(F, row) for row in M])[1]) == n
 
 
 def is_orthogonal(F: Field, M: Matrix) -> bool:
@@ -200,11 +306,25 @@ def is_skew_symmetric(F: Field, M: Matrix) -> bool:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of F^ambient held as its unique RREF basis (rows)."""
+    """A subspace of F^ambient held as its unique RREF basis (rows).
+
+    The basis rows are also kept sparse, as (pivot, the row's other
+    nonzeros), made once from the basis when the subspace is made, so that
+    `contains` visits only the nonzeros of the basis."""
 
     field: Field
     ambient: int
     basis: Matrix  # rref rows, no zero rows
+    _rows: tuple = dataclass_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = []
+        for row in self.basis:
+            tail = sparse(self.field, row)
+            p = min(tail)
+            del tail[p]
+            rows.append((p, tail))
+        object.__setattr__(self, "_rows", tuple(rows))
 
     @property
     def dim(self) -> int:
@@ -213,16 +333,19 @@ class Subspace:
     def contains(self, x: Vector) -> bool:
         if len(x) != self.ambient:
             raise DimensionError("vector length differs from ambient dimension")
+        return not self.reduce(sparse(self.field, x))
+
+    def reduce(self, v: dict) -> dict:
+        """What is left of the sparse vector v, changed in place, once the
+        basis has cleared its pivot columns: empty exactly when v lies in
+        the subspace."""
         F = self.field
-        is_zero, add, mul = F.is_zero, F.add, F.mul
-        v = list(x)
-        for row in self.basis:
-            p = next(i for i, e in enumerate(row) if not is_zero(e))
-            if not is_zero(v[p]):
-                c = F.neg(v[p])
-                v = [a if is_zero(b) else add(a, mul(c, b))
-                     for a, b in zip(v, row)]
-        return all(map(is_zero, v))
+        neg = F.neg
+        for p, tail in self._rows:
+            c = v.pop(p, None)
+            if c is not None:
+                add_multiple(F, v, neg(c), tail)
+        return v
 
     def vectors(self) -> Iterator[Vector]:
         """All vectors of the subspace (finite fields only)."""
@@ -234,14 +357,17 @@ class Subspace:
             yield v
 
 
+def _subspace(F: Field, ambient: int, reduced: list[dict]) -> Subspace:
+    """The Subspace whose RREF basis `reduce_rows` returned."""
+    return Subspace(F, ambient, tuple(dense(F, row, ambient) for row in reduced))
+
+
 def span(F: Field, ambient: int, vectors: Sequence[Vector]) -> Subspace:
     for v in vectors:
         if len(v) != ambient:
             raise DimensionError("spanning vector length differs from ambient")
-    if not vectors:
-        return Subspace(F, ambient, ())
-    R, rank, _ = rref(F, vectors)
-    return Subspace(F, ambient, R[:rank])
+    return _subspace(F, ambient,
+                     reduce_rows(F, [sparse(F, v) for v in vectors])[0])
 
 
 def subspace_sum(W1: Subspace, W2: Subspace) -> Subspace:
@@ -286,7 +412,7 @@ def _check_same_ambient(W1: Subspace, W2: Subspace) -> None:
 # -------------------------------------------------------------------- forms
 
 def gram_matrix(F: Field, rows: Sequence[Vector]) -> Matrix:
-    return tuple(tuple(dot(F, a, b) for b in rows) for a in rows)
+    return mat_mul(F, rows, transpose(rows))
 
 
 def is_lagrangian(W: Subspace) -> bool:

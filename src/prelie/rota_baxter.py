@@ -58,17 +58,25 @@ def is_rb_operator(A: Algebra, R: Matrix, weight: Scalar) -> CheckReport:
 def _rb_failure(A: Algebra, R: Matrix,
                 weight: Scalar) -> tuple[int, int] | None:
     """The first basis pair (1-based) on which the defining identity fails,
-    or None when it holds on every pair."""
+    or None when it holds on every pair.
+
+    Both sides are sparse, with zero sums dropped, from the sparse columns
+    of R taken once: R(b_i) R(b_j) against R applied to
+    R(b_i) b_j + w b_i b_j + b_i R(b_j) = (R + wE)(b_i) b_j + b_i R(b_j).
+    """
     F = A.field
-    cols = la.transpose(R)
-    for i in range(A.dim):
-        for j in range(A.dim):
-            lhs = A.multiply(cols[i], cols[j])
-            inner = la.vadd(F, A.multiply(cols[i], A.basis(j)),
-                            A.multiply(A.basis(i), cols[j]))
-            inner = la.vadd(F, inner,
-                            la.vscale(F, weight, A.basis_product(i, j)))
-            if lhs != la.mat_vec(F, R, inner):
+    n = A.dim
+    cols = [la.sparse(F, col) for col in la.transpose(R)]
+    units = [{i: F.one} for i in range(n)]
+    shifted = [dict(col) for col in cols]
+    if not F.is_zero(weight):
+        for col, unit in zip(shifted, units):
+            la.add_multiple(F, col, weight, unit)
+    product = A.product
+    for i in range(n):
+        for j in range(n):
+            inner = product(units[i], cols[j], product(shifted[i], units[j]))
+            if product(cols[i], cols[j]) != la.combine(F, inner.items(), cols):
                 return i + 1, j + 1
     return None
 

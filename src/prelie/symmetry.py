@@ -58,28 +58,31 @@ def is_automorphism(A: Algebra, phi: Matrix) -> CheckReport:
 
 def _product_failure(A: Algebra, phi: Matrix) -> tuple[int, int] | None:
     """The first basis pair (1-based) with phi(x)phi(y) != phi(xy), or None
-    when phi preserves every basis product."""
+    when phi preserves every basis product.  Both sides are sparse, with
+    zero sums dropped, from the sparse columns of phi taken once."""
     F = A.field
-    cols = la.transpose(phi)
+    cols = [la.sparse(F, col) for col in la.transpose(phi)]
     for i in range(A.dim):
         for j in range(A.dim):
-            lhs = A.multiply(cols[i], cols[j])
-            if lhs != la.mat_vec(F, phi, A.basis_product(i, j)):
+            if A.product(cols[i], cols[j]) != la.combine(
+                    F, A.basis_terms(i, j), cols):
                 return i + 1, j + 1
     return None
 
 
 def is_derivation(A: Algebra, d: Matrix) -> CheckReport:
-    """Leibniz rule d(xy) = d(x)y + x d(y) on basis pairs."""
+    """Leibniz rule d(xy) = d(x)y + x d(y) on basis pairs; both sides are
+    sparse, with zero sums dropped, from the sparse columns of d."""
     _check_shape(A, d)
     F = A.field
-    cols = la.transpose(d)
-    for i in range(A.dim):
-        for j in range(A.dim):
-            lhs = la.mat_vec(F, d, A.basis_product(i, j))
-            rhs = la.vadd(F, A.multiply(cols[i], A.basis(j)),
-                          A.multiply(A.basis(i), cols[j]))
-            if lhs != rhs:
+    n = A.dim
+    cols = [la.sparse(F, col) for col in la.transpose(d)]
+    units = [{i: F.one} for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            rhs = A.product(units[i], cols[j],
+                            A.product(cols[i], units[j]))
+            if la.combine(F, A.basis_terms(i, j), cols) != rhs:
                 return CheckReport(False, witness=(i + 1, j + 1))
     return CheckReport(True)
 
@@ -87,21 +90,29 @@ def is_derivation(A: Algebra, d: Matrix) -> CheckReport:
 def derivation_algebra(A: Algebra) -> Subspace:
     """All derivations of A, as a subspace of F^(dim^2) (matrices flattened
     row-major): the kernel of the Leibniz rows d(b_i b_j) - d(b_i) b_j
-    - b_i d(b_j), one for each basis pair and coordinate, built from the
-    structure constants (entry (k, m) of d is variable k * dim + m)."""
+    - b_i d(b_j), one for each basis pair and coordinate, built sparse from
+    the structure constants (entry (k, m) of d is variable k * dim + m)."""
     F = A.field
+    is_zero, neg, sub = F.is_zero, F.neg, F.sub
     n = A.dim
     rows = []
     for i in range(n):
         for j in range(n):
-            product = A.basis_product(i, j)
+            product = A.basis_terms(i, j)
             for k, terms in enumerate(_leibniz_form(A, i, j)):
-                row = [F.zero] * (n * n)
-                row[k * n:(k + 1) * n] = product
+                row = {k * n + m: c for m, c in product}
                 for c, u in terms:
-                    row[u] = F.sub(row[u], c)
-                rows.append(tuple(row))
-    return la.kernel(F, tuple(rows), ncols=n * n)
+                    if u not in row:
+                        row[u] = neg(c)
+                        continue
+                    s = sub(row[u], c)
+                    if is_zero(s):
+                        del row[u]
+                    else:
+                        row[u] = s
+                if row:
+                    rows.append(row)
+    return la.sparse_kernel(F, rows, n * n)
 
 
 def derivation_matrices(A: Algebra) -> tuple[Matrix, ...]:

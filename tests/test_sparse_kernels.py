@@ -1,10 +1,13 @@
-"""The zero-skipping kernels against dense oracles.
+"""The sparse exact kernels and checkers against dense oracles.
 
-`linalg` and `Algebra.multiply` skip every term with a zero factor.  The
-references below compute every term the plain dense way, as the kernels
-did before they skipped zeros, and every result must be equal entry for
-entry.  Inputs are drawn 50-90% zero, plus all-zero and fully dense ones,
-over Q, Q(i), GF(5) and GF(9).
+`linalg`, `Algebra.multiply` and the operator checkers zero-test each
+entry once and then visit only nonzeros.  The references below compute
+every term the plain dense way, as the kernels and checkers did before
+they went sparse, and every result must be equal entry for entry, with the
+same witness.  Inputs are drawn 50-90% zero, plus all-zero and fully dense
+ones, over Q, Q(i), GF(5) and GF(9); the checkers also get genuine
+operators, automorphisms and derivations, so that their accept path,
+where sums cancel, is compared too.
 """
 
 import random
@@ -14,9 +17,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prelie import linalg as la
-from prelie.algebras import (Algebra, apex_algebra, dot_product_algebra,
+from prelie.algebras import (Algebra, _leibniz_form, apex_algebra,
+                             dot_product_algebra, infinite_truncation_algebra,
+                             plus_algebra, unital_extension,
                              upper_triangular_algebra)
+from prelie.errors import DimensionError
 from prelie.fields import make_field
+from prelie.rota_baxter import (_rb_failure, isotropic_column_operator,
+                                skew_pairing_operator)
+from prelie.symmetry import (_product_failure, derivation_algebra,
+                             is_derivation)
 
 FIELDS = {spec: make_field(spec) for spec in ("q", "qi", "gf5", "gf9")}
 
@@ -106,6 +116,76 @@ def ref_multiply(A, x, y):
     for (i, j, k), c in A.table.items():
         out[k] = F.add(out[k], F.mul(F.mul(x[i], y[j]), c))
     return tuple(out)
+
+
+def ref_basis_product(A, i, j):
+    return ref_multiply(A, ref_basis(A.field, A.dim, i),
+                        ref_basis(A.field, A.dim, j))
+
+
+def ref_basis(F, n, i):
+    return tuple(F.one if k == i else F.zero for k in range(n))
+
+
+def ref_rb_failure(A, R, weight):
+    """The dense checker of the defining identity, as it was: three full
+    products, the weighted basis product and R applied to the sum."""
+    F = A.field
+    cols = list(zip(*R))
+    for i in range(A.dim):
+        for j in range(A.dim):
+            bi, bj = ref_basis(F, A.dim, i), ref_basis(F, A.dim, j)
+            lhs = ref_multiply(A, cols[i], cols[j])
+            inner = ref_vadd(F, ref_multiply(A, cols[i], bj),
+                             ref_multiply(A, bi, cols[j]))
+            inner = ref_vadd(F, inner,
+                             ref_vscale(F, weight, ref_basis_product(A, i, j)))
+            if lhs != ref_mat_vec(F, R, inner):
+                return i + 1, j + 1
+    return None
+
+
+def ref_product_failure(A, phi):
+    F = A.field
+    cols = list(zip(*phi))
+    for i in range(A.dim):
+        for j in range(A.dim):
+            lhs = ref_multiply(A, cols[i], cols[j])
+            if lhs != ref_mat_vec(F, phi, ref_basis_product(A, i, j)):
+                return i + 1, j + 1
+    return None
+
+
+def ref_derivation_failure(A, d):
+    F = A.field
+    cols = list(zip(*d))
+    for i in range(A.dim):
+        for j in range(A.dim):
+            bi, bj = ref_basis(F, A.dim, i), ref_basis(F, A.dim, j)
+            lhs = ref_mat_vec(F, d, ref_basis_product(A, i, j))
+            rhs = ref_vadd(F, ref_multiply(A, cols[i], bj),
+                           ref_multiply(A, bi, cols[j]))
+            if lhs != rhs:
+                return i + 1, j + 1
+    return None
+
+
+def ref_derivation_algebra(A):
+    """The dense Leibniz rows, one per basis pair and coordinate, and the
+    canonical basis of their kernel."""
+    F = A.field
+    n = A.dim
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            product = ref_basis_product(A, i, j)
+            for k, terms in enumerate(_leibniz_form(A, i, j)):
+                row = [F.zero] * (n * n)
+                row[k * n:(k + 1) * n] = product
+                for c, u in terms:
+                    row[u] = F.sub(row[u], c)
+                rows.append(tuple(row))
+    return ref_kernel(F, rows, n * n)
 
 
 # ------------------------------------------------------------------ inputs
@@ -287,3 +367,224 @@ def test_is_zero_on_rationals(a):
 def test_is_zero_on_gaussian_rationals(a, b):
     F = FIELDS["qi"]
     assert F.is_zero((a, b)) == ((a, b) == F.zero)
+
+
+# ------------------------------------------------------- the shared reduction
+
+@settings(max_examples=200, deadline=None)
+@given(cases, st.integers(1, 7), st.integers(1, 7))
+def test_reduce_rows_is_rref_on_sparse_rows(case, r, c):
+    """The contract of the shared reduction: rows in as column -> nonzero
+    dicts (left as they are), the RREF rows out as dicts in pivot order,
+    with their pivots; dependent and all-zero rows leave nothing."""
+    spec, density, seed = case
+    F = FIELDS[spec]
+    rng = random.Random(seed)
+    M = list(_matrix(F, r, c, density, rng))
+    M.insert(rng.randrange(r + 1), (F.zero,) * c)
+    rows = [{k: a for k, a in enumerate(row) if a != F.zero} for row in M]
+    before = [dict(row) for row in rows]
+    reduced, pivots = la.reduce_rows(F, rows)
+    R, rank, ref_pivots = ref_rref(F, M)
+    assert rows == before
+    assert pivots == ref_pivots
+    assert [la.dense(F, row, c) for row in reduced] == list(R[:rank])
+    assert all(F.zero not in row.values() for row in reduced)
+
+
+# ----------------------------------------------------------- shape errors
+
+@pytest.mark.parametrize("rows,inner,cols", [(2, 2, 3), (2, 3, 2)])
+def test_mat_mul_refuses_mismatched_shapes(rows, inner, cols):
+    """A rows x inner matrix times a cols x 2 one: 2x2 times 3x2 and 2x3
+    times 2x2 over GF(5)."""
+    F = FIELDS["gf5"]
+    A = tuple((F.one,) * inner for _ in range(rows))
+    B = tuple((F.one, F.one) for _ in range(cols))
+    with pytest.raises(DimensionError):
+        la.mat_mul(F, A, B)
+
+
+@pytest.mark.parametrize("cols,length", [(2, 3), (3, 2)])
+def test_mat_vec_refuses_mismatched_shapes(cols, length):
+    F = FIELDS["gf5"]
+    M = ((F.one,) * cols,) * 2
+    with pytest.raises(DimensionError):
+        la.mat_vec(F, M, (F.one,) * length)
+
+
+# ----------------------------------------------- the checkers and oracles
+
+def _signed_permutation(F, n, rng):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return tuple(tuple((F.one if rng.random() < 0.5 else F.neg(F.one))
+                       if c == perm[r] else F.zero for c in range(n))
+                 for r in range(n))
+
+
+def _diag_blocks(F, blocks):
+    """The block-diagonal matrix of square blocks."""
+    n = sum(len(B) for B in blocks)
+    out, at = [], 0
+    for B in blocks:
+        for row in B:
+            out.append((F.zero,) * at + tuple(row)
+                       + (F.zero,) * (n - at - len(B)))
+        at += len(B)
+    return tuple(out)
+
+
+def _scalar_matrix(F, n, c):
+    return tuple(tuple(c if r == k else F.zero for k in range(n))
+                 for r in range(n))
+
+
+def _source(F, kind, n, density, rng):
+    """An algebra and genuine (operators, automorphisms) for it; the
+    derivations come from the oracle for every algebra."""
+    one, w = F.one, _nonzero(F, rng)
+    autos = []
+    if kind == "apex":
+        A = apex_algebra(F, n)
+        autos.append(_diag_blocks(F, [_signed_permutation(F, n - 1, rng),
+                                      ((one,),)]))
+    elif kind == "truncation":
+        A = infinite_truncation_algebra(F, n - 1)
+        autos.append(_diag_blocks(F, [((one,),),
+                                      _signed_permutation(F, n - 1, rng)]))
+    elif kind == "dot":
+        A = dot_product_algebra(F, (F.zero,) * (n - 1) + (_nonzero(F, rng),))
+        autos.append(_diag_blocks(F, [_signed_permutation(F, n - 1, rng),
+                                      ((one,),)]))
+    elif kind == "plus":
+        A = plus_algebra(apex_algebra(F, n))
+    elif kind == "upper":
+        A = upper_triangular_algebra(F, 2).algebra
+    else:
+        A = Algebra(F, n, _table(F, n, density, rng))
+    n = A.dim
+    ops = [(_scalar_matrix(F, n, F.zero), F.random(rng)),
+           (_scalar_matrix(F, n, F.neg(w)), w)]
+    autos.append(_scalar_matrix(F, n, one))
+    if kind == "apex" and n >= 3:
+        target = F.sub(F.from_int(2), F.from_int(n))
+        if not F.is_zero(target) and F.sqrt(F.inv(target)) is not None:
+            ops.append((isotropic_column_operator(F, n), F.zero))
+        if n == 4 and F.sqrt(F.neg(one)) is not None:
+            ops.append((skew_pairing_operator(F), F.zero))
+    return A, ops, autos
+
+
+def _unital(F, A, autos, rng):
+    """The unital extension A + Fu with genuine operators and automorphisms:
+    A and Fu are subalgebras in direct sum, so the projections onto either
+    part, scaled by -w, are operators of weight w, besides 0 and -wE; the
+    automorphisms of A extend by u -> u."""
+    n = A.dim
+    w = _nonzero(F, rng)
+    ops = [(_scalar_matrix(F, n + 1, F.zero), F.random(rng)),
+           (_scalar_matrix(F, n + 1, F.neg(w)), w),
+           (_diag_blocks(F, [_scalar_matrix(F, n, F.zero), ((F.neg(w),),)]),
+            w),
+           (_diag_blocks(F, [_scalar_matrix(F, n, F.neg(w)), ((F.zero,),)]),
+            w)]
+    return (unital_extension(A), ops,
+            [_diag_blocks(F, [phi, ((F.one,),)]) for phi in autos])
+
+
+def _inverse(F, P):
+    n = len(P)
+    E = [ref_basis(F, n, i) for i in range(n)]
+    R, rank, _ = ref_rref(F, [tuple(row) + e for row, e in zip(P, E)])
+    return tuple(row[n:] for row in R) if rank == n and all(
+        R[i][i] == F.one for i in range(n)) else None
+
+
+def _transport(F, A, rng, density):
+    """A random invertible P, the algebra B with P an isomorphism A -> B,
+    and M -> P M P^-1, which carries operators, automorphisms and
+    derivations of A to those of B."""
+    n = A.dim
+    while True:
+        P = _matrix(F, n, n, max(density, 0.5), rng)
+        Pinv = _inverse(F, P)
+        if Pinv is not None:
+            break
+    cols = list(zip(*Pinv))
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            v = ref_mat_vec(F, P, ref_multiply(A, cols[i], cols[j]))
+            for k, c in enumerate(v):
+                if c != F.zero:
+                    table[(i, j, k)] = c
+    conj = lambda M: ref_mat_mul(F, ref_mat_mul(F, P, M), Pinv)
+    return Algebra(F, n, table), conj
+
+
+def _reshape(flat, n):
+    return tuple(tuple(flat[r * n:(r + 1) * n]) for r in range(n))
+
+
+def _perturbed(F, M, rng):
+    """M with one random entry changed by a random nonzero amount."""
+    rows = [list(row) for row in M]
+    r, c = rng.randrange(len(M)), rng.randrange(len(M))
+    rows[r][c] = F.add(rows[r][c], _nonzero(F, rng))
+    return tuple(tuple(row) for row in rows)
+
+
+KINDS = ("apex", "truncation", "dot", "plus", "upper", "random")
+
+
+@settings(max_examples=120, deadline=None)
+@given(cases, st.sampled_from(KINDS), st.integers(2, 4), st.booleans(),
+       st.booleans())
+def test_checkers_match_dense_oracles(case, kind, n, unital, transport):
+    """The sparse checkers against the dense ones on the builders and on
+    random tables, optionally extended by a unit and carried through a
+    random change of basis: genuine operators, automorphisms and
+    derivations are accepted, and every other input gets the same verdict
+    and the same first failing pair."""
+    spec, density, seed = case
+    F = FIELDS[spec]
+    rng = random.Random(seed)
+    if unital:
+        n = min(n, 3)  # keeps the dense oracle's kernels small
+    A, ops, autos = _source(F, kind, n, density, rng)
+    if unital:
+        A, ops, autos = _unital(F, A, autos, rng)
+    if transport:
+        A, conj = _transport(F, A, rng, density)
+        ops = [(conj(R), w) for R, w in ops]
+        autos = [conj(phi) for phi in autos]
+    n = A.dim
+    ders = ref_derivation_algebra(A)
+    assert derivation_algebra(A).basis == ders
+    genuine_ders = [_reshape(flat, n) for flat in ders]
+    if ders:
+        combo = [F.zero] * (n * n)
+        for flat in ders:
+            combo = list(ref_vadd(F, combo, ref_vscale(F, F.random(rng), flat)))
+        genuine_ders.append(_reshape(combo, n))
+
+    for R, w in ops:
+        assert ref_rb_failure(A, R, w) is None
+        assert _rb_failure(A, R, w) is None
+    for phi in autos:
+        assert ref_product_failure(A, phi) is None
+        assert _product_failure(A, phi) is None
+    for d in genuine_ders:
+        assert ref_derivation_failure(A, d) is None
+        assert is_derivation(A, d).ok
+
+    others = [_perturbed(F, M, rng) for M in
+              [R for R, _ in ops] + autos + genuine_ders]
+    others += [_matrix(F, n, n, density, rng) for _ in range(2)]
+    weights = [w for _, w in ops] + [F.random(rng)]
+    for M in others:
+        w = rng.choice(weights)
+        assert _rb_failure(A, M, w) == ref_rb_failure(A, M, w)
+        assert _product_failure(A, M) == ref_product_failure(A, M)
+        assert is_derivation(A, M).witness == ref_derivation_failure(A, M)
