@@ -56,7 +56,7 @@ class Algebra:
             if not all(0 <= t < dim for t in (i, j, k)):
                 raise DimensionError(f"table index {(i, j, k)} out of range")
             if not field.is_zero(c):
-                clean[(i, j, k)] = field.one if c == field.one else c
+                clean[(i, j, k)] = c
         self.field = field
         self.dim = dim
         self.table = clean
@@ -90,13 +90,10 @@ class Algebra:
 
         It visits the nonzero structure-constant cells b_i b_j of each
         nonzero x_i whose y_j is nonzero; each new sum is zero-tested once
-        and a zero sum is dropped, so the result holds only nonzeros.  A
-        factor that is the field's `one` object (the entries of basis
-        vectors, and every structure constant equal to one) is not
-        multiplied.
+        and a zero sum is dropped, so the result holds only nonzeros.
         """
         F = self.field
-        is_zero, add, mul, one = F.is_zero, F.add, F.mul, F.one
+        is_zero, add, mul = F.is_zero, F.add, F.mul
         out = {} if out is None else out
         row_cells = self._row_cells
         for i, a in x.items():
@@ -104,9 +101,9 @@ class Algebra:
                 b = y.get(j)
                 if b is None:
                     continue
-                c = a if b is one else b if a is one else mul(a, b)
+                c = mul(a, b)
                 for k, ck in cell:
-                    t = c if ck is one else mul(c, ck)
+                    t = mul(c, ck)
                     s = out.get(k)
                     if s is None:
                         out[k] = t
@@ -580,16 +577,18 @@ def ideal_closure(A: Algebra, seed: Subspace) -> Subspace:
     by basis vectors (hence the ideal generated by seed)."""
     _check_ambient(A, seed)
     F = A.field
-    current = seed
+    units = [{i: F.one} for i in range(A.dim)]
+    current = [la.sparse(F, x) for x in seed.basis]
     while True:
-        rows = list(current.basis)
-        for x in current.basis:
-            for i in range(A.dim):
-                rows.append(A.multiply(A.basis(i), x))
-                rows.append(A.multiply(x, A.basis(i)))
-        grown = la.span(F, A.dim, rows)
-        if grown.dim == current.dim:
-            return grown
+        rows = list(current)
+        for x in current:
+            for u in units:
+                rows.append(A.product(u, x))
+                rows.append(A.product(x, u))
+        grown = la.reduce_rows(F, rows)[0]
+        if len(grown) == len(current):
+            return la.Subspace(F, A.dim, tuple(la.dense(F, row, A.dim)
+                                               for row in grown))
         current = grown
 
 

@@ -16,7 +16,8 @@ every entry and every new sum, so each field gives it the cheapest exact
 form.  Since scalars are canonical, falsiness is zero-ness for `Fraction`
 and `int`: the rationals and GF(p) test `not a` (as the builtin
 `operator.not_`, which costs no Python call frame), a quadratic scalar is
-zero when both of its base coordinates are.  The base class keeps the generic `a == zero`.
+zero when both of its base coordinates are.  The base class keeps the
+generic `a == zero`.
 
 A `Field` instance is an operation handle; it never wraps scalars.
 """

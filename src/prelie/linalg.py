@@ -133,24 +133,7 @@ def transpose(M: Matrix) -> Matrix:
     return tuple(zip(*M)) if M else ()
 
 def mat_vec(F: Field, M: Matrix, x: Vector) -> Vector:
-    """M x; the nonzeros of x are taken once for all rows."""
-    is_zero, add, mul = F.is_zero, F.add, F.mul
-    n = len(x)
-    terms = tuple(sparse(F, x).items())
-    out = []
-    for row in M:
-        if len(row) != n:
-            raise DimensionError(f"{len(row)}-column row times a vector of "
-                                 f"length {n}")
-        acc = None
-        for j, b in terms:
-            a = row[j]
-            if is_zero(a):
-                continue
-            p = mul(a, b)
-            acc = p if acc is None else add(acc, p)
-        out.append(F.zero if acc is None else acc)
-    return tuple(out)
+    return tuple(dot(F, row, x) for row in M)
 
 def mat_mul(F: Field, A: Matrix, B: Matrix) -> Matrix:
     """A B; the nonzeros of each row of B are taken once for all rows of A,
@@ -219,12 +202,8 @@ def reduce_rows(F: Field, rows: Iterable[dict]) -> tuple[list[dict], tuple[int, 
         if not v:
             continue
         p = min(v)
-        a = v.pop(p)
-        if a == one:
-            tail = v
-        else:
-            s = inv(a)
-            tail = {k: mul(s, b) for k, b in v.items()}
+        s = inv(v.pop(p))
+        tail = {k: mul(s, b) for k, b in v.items()}
         for other in tails.values():
             f = other.pop(p, None)
             if f is not None:

@@ -93,8 +93,9 @@ def derivation_algebra(A: Algebra) -> Subspace:
     - b_i d(b_j), one for each basis pair and coordinate, built sparse from
     the structure constants (entry (k, m) of d is variable k * dim + m)."""
     F = A.field
-    is_zero, neg, sub = F.is_zero, F.neg, F.sub
+    neg = F.neg
     n = A.dim
+    units = [{u: F.one} for u in range(n * n)]
     rows = []
     for i in range(n):
         for j in range(n):
@@ -102,14 +103,7 @@ def derivation_algebra(A: Algebra) -> Subspace:
             for k, terms in enumerate(_leibniz_form(A, i, j)):
                 row = {k * n + m: c for m, c in product}
                 for c, u in terms:
-                    if u not in row:
-                        row[u] = neg(c)
-                        continue
-                    s = sub(row[u], c)
-                    if is_zero(s):
-                        del row[u]
-                    else:
-                        row[u] = s
+                    la.add_multiple(F, row, neg(c), units[u])
                 if row:
                     rows.append(row)
     return la.sparse_kernel(F, rows, n * n)

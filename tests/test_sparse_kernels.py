@@ -1,10 +1,10 @@
 """The sparse exact kernels and checkers against dense oracles.
 
-`linalg`, `Algebra.multiply` and the operator checkers zero-test each
-entry once and then visit only nonzeros.  The references below compute
-every term the plain dense way, as the kernels and checkers did before
-they went sparse, and every result must be equal entry for entry, with the
-same witness.  Inputs are drawn 50-90% zero, plus all-zero and fully dense
+`linalg`, `Algebra.multiply`, `ideal_closure` and the operator checkers
+zero-test each entry once and then visit only nonzeros.  The references
+below compute every term the plain dense way, as the kernels and checkers
+did before they went sparse, and every result must be equal entry for
+entry, with the same witness.  Inputs are drawn 50-90% zero, plus all-zero and fully dense
 ones, over Q, Q(i), GF(5) and GF(9); the checkers also get genuine
 operators, automorphisms and derivations, so that their accept path,
 where sums cancel, is compared too.
@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from prelie import linalg as la
 from prelie.algebras import (Algebra, _leibniz_form, apex_algebra,
-                             dot_product_algebra, infinite_truncation_algebra,
-                             plus_algebra, unital_extension,
+                             dot_product_algebra, ideal_closure,
+                             infinite_truncation_algebra, plus_algebra, unital_extension,
                              upper_triangular_algebra)
 from prelie.errors import DimensionError
 from prelie.fields import make_field
@@ -125,6 +125,25 @@ def ref_basis_product(A, i, j):
 
 def ref_basis(F, n, i):
     return tuple(F.one if k == i else F.zero for k in range(n))
+
+
+def ref_ideal_closure(A, seed_rows):
+    """The span of the RREF rows seed_rows, grown by products with basis
+    vectors on both sides until its rank stops growing."""
+    F, n = A.field, A.dim
+    rows = tuple(seed_rows)
+    while True:
+        grown = list(rows)
+        for x in rows:
+            for i in range(n):
+                e = ref_basis(F, n, i)
+                grown += [ref_multiply(A, e, x), ref_multiply(A, x, e)]
+        if not grown:
+            return ()
+        R, rank, _ = ref_rref(F, grown)
+        if rank == len(rows):
+            return R[:rank]
+        rows = R[:rank]
 
 
 def ref_rb_failure(A, R, weight):
@@ -280,6 +299,17 @@ def test_multiply_matches_dense_over_random_tables(case, n):
         x = _vector(F, n, density, rng)
         y = _vector(F, n, density, rng)
         assert A.multiply(x, y) == ref_multiply(A, x, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases, st.integers(1, 5), st.integers(0, 2))
+def test_ideal_closure_matches_dense(case, n, k):
+    spec, density, seed = case
+    F = FIELDS[spec]
+    rng = random.Random(seed)
+    A = Algebra(F, n, _table(F, n, density, rng))
+    W = la.span(F, n, _matrix(F, k, n, density, rng) if k else ())
+    assert ideal_closure(A, W).basis == ref_ideal_closure(A, W.basis)
 
 
 @pytest.mark.parametrize("spec", sorted(FIELDS))
