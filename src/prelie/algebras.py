@@ -12,6 +12,12 @@ Companion builders: the dot-product algebra u*v = (u,v)a + (u,a)v on F^n
 with a marked vector a, the upper triangular matrix algebra under
 x*y = xy + upper(x y^T + y x^T) with halved diagonal, and a zero-indexed
 truncation of the same table with the apex in front.
+
+The checkers work from the structure constants.  Multilinear identities
+are decided on basis triples from the basis products; simplicity first by
+the multiplication algebra M(A), generated by the left and right
+multiplications: when it is all of End(A) no proper ideal exists, and only
+otherwise are the lines of F^n walked for one.
 """
 
 from __future__ import annotations
@@ -491,7 +497,11 @@ def check_identity(A: Algebra, kind: str, exhaustive: bool = False,
     """Check a polynomial identity on A.
 
     Multilinear kinds (pre_lie, novikov, commutative, anticommutative,
-    jacobi) are decided on basis tuples.  flexible and
+    jacobi) are decided on basis tuples, the witness being the first
+    failing tuple in lexicographic order, 1-based.  The triples of pre_lie,
+    novikov and jacobi are evaluated from the basis products b_i b_j, taken
+    once per call, with `Algebra.product` on sparse vectors; pre-Lie holds
+    at (x, y, z) when (xy)z + y(xz) = (yx)z + x(yz).  flexible and
     third_power_associative are not multilinear; by default they are decided
     symbolically (generic elements with polynomial coordinates, all
     coefficients must vanish), with `exhaustive=True` evaluating every tuple
@@ -508,12 +518,6 @@ def check_identity(A: Algebra, kind: str, exhaustive: bool = False,
 
     F = A.field
     n = A.dim
-    mul = A.multiply
-    b = A.basis
-
-    def assoc(x, y, z):
-        return la.vsub(F, mul(mul(x, y), z), mul(x, mul(y, z)))
-
     if kind in ("commutative", "anticommutative"):
         for i in range(n):
             for j in range(n):
@@ -526,21 +530,29 @@ def check_identity(A: Algebra, kind: str, exhaustive: bool = False,
                                        details={"kind": kind})
         return CheckReport(True, details={"kind": kind})
 
+    # both sides of each triple as sparse sums of products of the unit
+    # vectors and the basis products b_i b_j; a product drops zero sums,
+    # so two sides are equal exactly when their dicts are
+    prod = A.product
+    units = [{i: F.one} for i in range(n)]
+    pairs = [[dict(A.basis_terms(i, j)) for j in range(n)] for i in range(n)]
     for i in range(n):
+        x, xp = units[i], pairs[i]
         for j in range(n):
+            y, yp, xy = units[j], pairs[j], xp[j]
             for k in range(n):
-                x, y, z = b(i), b(j), b(k)
-                if kind == "pre_lie":
-                    ok = assoc(x, y, z) == assoc(y, x, z)
-                elif kind == "novikov":
-                    ok = (assoc(x, y, z) == assoc(y, x, z)
-                          and mul(mul(x, y), z) == mul(mul(x, z), y))
-                elif kind == "jacobi":
-                    s = la.vadd(F, mul(mul(x, y), z),
-                                la.vadd(F, mul(mul(y, z), x), mul(mul(z, x), y)))
-                    ok = la.is_zero_vector(F, s)
+                z = units[k]
+                if kind == "jacobi":
+                    s = prod(xy, z)               # (xy)z
+                    prod(yp[k], x, s)             # + (yz)x
+                    prod(pairs[k][i], y, s)       # + (zx)y
+                    ok = not s
                 else:
-                    raise AssertionError(kind)
+                    # (xy)z - x(yz) = (yx)z - y(xz), rearranged
+                    ok = (prod(y, xp[k], prod(xy, z))
+                          == prod(x, yp[k], prod(yp[i], z)))
+                    if ok and kind == "novikov":
+                        ok = prod(xy, z) == prod(xp[k], y)
                 if not ok:
                     return CheckReport(False, witness=(i + 1, j + 1, k + 1),
                                        details={"kind": kind})
@@ -574,12 +586,13 @@ def is_ideal(A: Algebra, W: Subspace) -> CheckReport:
 
 def ideal_closure(A: Algebra, seed: Subspace) -> Subspace:
     """Smallest subspace containing seed closed under both multiplications
-    by basis vectors (hence the ideal generated by seed)."""
+    by basis vectors (hence the ideal generated by seed).  Stops as soon
+    as the span is all of F^n, which is closed."""
     _check_ambient(A, seed)
     F = A.field
     units = [{i: F.one} for i in range(A.dim)]
     current = [la.sparse(F, x) for x in seed.basis]
-    while True:
+    while len(current) < A.dim:
         rows = list(current)
         for x in current:
             for u in units:
@@ -587,24 +600,72 @@ def ideal_closure(A: Algebra, seed: Subspace) -> Subspace:
                 rows.append(A.product(x, u))
         grown = la.reduce_rows(F, rows)[0]
         if len(grown) == len(current):
-            return la.Subspace(F, A.dim, tuple(la.dense(F, row, A.dim)
-                                               for row in grown))
+            break
         current = grown
+    return la.Subspace(F, A.dim, tuple(la.dense(F, row, A.dim)
+                                       for row in current))
+
+
+def _multiplication_algebra_dim(A: Algebra) -> int:
+    """dim M(A), M(A) the unital associative algebra of matrices that the
+    multiplications L_{b_i} and R_{b_i} generate; it stops as soon as the
+    span reaches n^2, M(A) then being all of End(A).
+
+    The span of words in the generators grows breadth-first from E: each
+    word that enters the span is multiplied on the left by every
+    generator, and a word already in the span is not extended, its
+    products lying in the span of products already taken, so the words
+    kept are independent and their number is the dimension.  A word is kept
+    as its sparse rows, so row r of G W is the combination of the rows of
+    W by the nonzeros of row r of G (`la.combine`), and the span as one
+    incremental echelon form of the words' n^2 entries (`la.reduce_row`).
+    """
+    F, n = A.field, A.dim
+    full = n * n
+    gens = []
+    for i in range(n):
+        b = A.basis(i)
+        for M in (left_mult_matrix(A, b), right_mult_matrix(A, b)):
+            gens.append([tuple(la.sparse(F, row).items()) for row in M])
+    tails: dict = {}
+
+    def enters(W: list) -> bool:
+        flat = {r * n + c: a for r, row in enumerate(W) for c, a in row.items()}
+        return la.reduce_row(F, tails, flat)
+
+    words = [[{i: F.one} for i in range(n)]]  # the independent words, E first
+    enters(words[0])
+    for W in words:  # grows while it is walked: breadth-first
+        for G in gens:
+            GW = [la.combine(F, row, W) for row in G]
+            if enters(GW):
+                words.append(GW)
+                if len(words) == full:
+                    return full
+    return len(words)
 
 
 def is_simple(A: Algebra, cap: int = 10 ** 6) -> CheckReport:
     """Simplicity over a finite field: nonzero product and no proper ideal.
 
-    Walks one representative per scalar class of nonzero vectors (which
-    `la.enumerate_projective` refuses over an infinite field or past `cap`);
-    the ideal generated by any single vector of a proper ideal is still
-    proper, so this is exhaustive.  Witness on failure: a proper nonzero
-    ideal.
+    Before anything else, an algebra with zero product is not simple, and
+    `la.check_cap` refuses an infinite field or q^n vectors past `cap`,
+    whether or not the walk below runs.  Then the certificate: the
+    ideals of A are the subspaces invariant under the multiplication
+    algebra M(A), so when M(A) is all of End(A), dim M(A) = n^2, there is
+    no proper nonzero ideal (Schafer, An Introduction to Nonassociative
+    Algebras, ch. II).  Otherwise it walks one representative per scalar
+    class of nonzero vectors; the ideal generated by any single vector of
+    a proper ideal is still proper, so this is exhaustive.  Witness on
+    failure: the first proper nonzero ideal the walk finds.
     """
     F = A.field
     if not A.table:
         return CheckReport(False, witness="zero multiplication",
                            details={"reason": "A*A = 0"})
+    la.check_cap(F, A.dim, "vectors", cap)
+    if _multiplication_algebra_dim(A) == A.dim * A.dim:
+        return CheckReport(True)
     for v in la.enumerate_projective(F, A.dim, cap=cap):
         closure = ideal_closure(A, la.span(F, A.dim, [v]))
         if closure.dim < A.dim:

@@ -14,8 +14,9 @@ a zero factor is never multiplied, a zero entry is never scaled, and a new
 sum is zero-tested once, a zero sum being dropped.  Inside the kernels a
 sparse vector is a dict mapping an index to a nonzero scalar (`sparse`
 makes one); `reduce_rows` is the row reduction on such rows that `rref`,
-`kernel` and `span` share.  Fields are exact and scalars canonical, so
-skipping a zero term gives the same value as computing it.
+`kernel` and `span` share, and `reduce_row` its incremental step, for a
+caller that grows a span one row at a time.  Fields are exact and scalars
+canonical, so skipping a zero term gives the same value as computing it.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ __all__ = [
     "is_lagrangian", "is_orthogonal", "is_skew_symmetric", "is_zero_matrix",
     "is_zero_vector", "kernel", "mat_add", "mat_mul", "mat_scale", "mat_sub",
     "mat_vec", "matrix_from_json", "matrix_sort_key", "random_matrix",
-    "random_vector", "reduce_rows", "rref", "sparse", "sparse_kernel",
-    "span", "subspace_sum", "trace", "transpose", "vadd", "vneg", "vscale",
-    "vsub", "zero_matrix", "zero_vector",
+    "random_vector", "reduce_row", "reduce_rows", "rref", "sparse",
+    "sparse_kernel", "span", "subspace_sum", "trace", "transpose", "vadd",
+    "vneg", "vscale", "vsub", "zero_matrix", "zero_vector",
 ]
 
 
@@ -181,6 +182,34 @@ def trace(F: Field, A: Matrix) -> Scalar:
 
 # ------------------------------------------------------------- elimination
 
+def reduce_row(F: Field, tails: dict[int, dict], row: dict) -> bool:
+    """The incremental step of the one sparse row reduction: add the sparse
+    `row` to the reduced echelon form `tails` (pivot -> that row without
+    the one at its pivot), changed in place.
+
+    The row is reduced against the pivots of `tails`.  What is left, if
+    anything, is scaled to a one at its least column, which becomes a new
+    pivot and is cleared from the rows already there, so `tails` stays
+    fully reduced.  Returns whether the row was new to the span.  `row`
+    itself is not modified.
+    """
+    neg, mul = F.neg, F.mul
+    v = dict(row)
+    for c in [c for c in v if c in tails]:
+        add_multiple(F, v, neg(v.pop(c)), tails[c])
+    if not v:
+        return False
+    p = min(v)
+    s = F.inv(v.pop(p))
+    tail = {k: mul(s, b) for k, b in v.items()}
+    for other in tails.values():
+        f = other.pop(p, None)
+        if f is not None:
+            add_multiple(F, other, neg(f), tail)
+    tails[p] = tail
+    return True
+
+
 def reduce_rows(F: Field, rows: Iterable[dict]) -> tuple[list[dict], tuple[int, ...]]:
     """The one sparse row reduction: the reduced row echelon form of the
     span of `rows`, returned as (reduced rows, pivot columns).
@@ -191,24 +220,13 @@ def reduce_rows(F: Field, rows: Iterable[dict]) -> tuple[list[dict], tuple[int, 
     increasing pivot order, each with a one at its pivot, no entry left of
     it and no entry at any other pivot column.  Dependent and all-zero rows
     leave nothing behind.  Rows are reduced one at a time against the rows
-    kept so far; a new sum is zero-tested once and a zero sum dropped.
+    kept so far (`reduce_row`); a new sum is zero-tested once and a zero
+    sum dropped.
     """
-    inv, neg, mul, one = F.inv, F.neg, F.mul, F.one
     tails: dict[int, dict] = {}  # pivot -> its row without the pivot's one
     for row in rows:
-        v = dict(row)
-        for c in [c for c in v if c in tails]:
-            add_multiple(F, v, neg(v.pop(c)), tails[c])
-        if not v:
-            continue
-        p = min(v)
-        s = inv(v.pop(p))
-        tail = {k: mul(s, b) for k, b in v.items()}
-        for other in tails.values():
-            f = other.pop(p, None)
-            if f is not None:
-                add_multiple(F, other, neg(f), tail)
-        tails[p] = tail
+        reduce_row(F, tails, row)
+    one = F.one
     pivots = tuple(sorted(tails))
     return [{p: one, **tails[p]} for p in pivots], pivots
 

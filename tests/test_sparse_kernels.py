@@ -1,7 +1,8 @@
 """The sparse exact kernels and checkers against dense oracles.
 
-`linalg`, `Algebra.multiply`, `ideal_closure` and the operator checkers
-zero-test each entry once and then visit only nonzeros.  The references
+`linalg`, `Algebra.multiply`, `ideal_closure`, the operator checkers and
+the basis-triple identity checker zero-test each entry once and then visit
+only nonzeros.  The references
 below compute every term the plain dense way, as the kernels and checkers
 did before they went sparse, and every result must be equal entry for
 entry, with the same witness.  Inputs are drawn 50-90% zero, plus all-zero and fully dense
@@ -18,8 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 from prelie import linalg as la
 from prelie.algebras import (Algebra, _leibniz_form, apex_algebra,
-                             dot_product_algebra, ideal_closure,
-                             infinite_truncation_algebra, plus_algebra, unital_extension,
+                             check_identity, dot_product_algebra,
+                             ideal_closure, infinite_truncation_algebra,
+                             minus_algebra, plus_algebra, unital_extension,
                              upper_triangular_algebra)
 from prelie.errors import DimensionError
 from prelie.fields import make_field
@@ -144,6 +146,39 @@ def ref_ideal_closure(A, seed_rows):
         if rank == len(rows):
             return R[:rank]
         rows = R[:rank]
+
+
+def ref_identity_failure(A, kind):
+    """The dense basis-triple checker of pre_lie, novikov and jacobi, as it
+    was: every product of basis vectors computed in full, eight of them
+    per triple.  The first failing triple in (i, j, k) order, 1-based, or
+    None when the identity holds."""
+    F, n = A.field, A.dim
+
+    def mul(x, y):
+        return ref_multiply(A, x, y)
+
+    def assoc(x, y, z):
+        return tuple(F.sub(a, b) for a, b in zip(mul(mul(x, y), z),
+                                                 mul(x, mul(y, z))))
+
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                x, y, z = (ref_basis(F, n, t) for t in (i, j, k))
+                if kind == "pre_lie":
+                    ok = assoc(x, y, z) == assoc(y, x, z)
+                elif kind == "novikov":
+                    ok = (assoc(x, y, z) == assoc(y, x, z)
+                          and mul(mul(x, y), z) == mul(mul(x, z), y))
+                else:
+                    s = ref_vadd(F, mul(mul(x, y), z),
+                                 ref_vadd(F, mul(mul(y, z), x),
+                                          mul(mul(z, x), y)))
+                    ok = all(c == F.zero for c in s)
+                if not ok:
+                    return i + 1, j + 1, k + 1
+    return None
 
 
 def ref_rb_failure(A, R, weight):
@@ -618,3 +653,74 @@ def test_checkers_match_dense_oracles(case, kind, n, unital, transport):
         assert _rb_failure(A, M, w) == ref_rb_failure(A, M, w)
         assert _product_failure(A, M) == ref_product_failure(A, M)
         assert is_derivation(A, M).witness == ref_derivation_failure(A, M)
+
+
+# ----------------------------------------------------- identity checker
+
+IDENTITY_FIELDS = {spec: make_field(spec) for spec in ("q", "gf3", "gf5",
+                                                       "gf9")}
+TRIPLE_KINDS = ("pre_lie", "novikov", "jacobi")
+IDENTITY_SOURCES = ("apex", "minus", "polynomial", "random")
+
+
+def _identity_source(F, source, n, density, rng):
+    """An algebra on which some of the three kinds hold: the apex table
+    (pre-Lie), its commutator algebra (Jacobi), the truncated polynomial
+    algebra b_i b_j = b_(i+j) (commutative and associative, so Novikov),
+    or a random table."""
+    if source == "apex":
+        return apex_algebra(F, n)
+    if source == "minus":
+        return minus_algebra(apex_algebra(F, n))
+    if source == "polynomial":
+        return Algebra(F, n, {(i, j, i + j): F.one for i in range(n)
+                              for j in range(n) if i + j < n})
+    return Algebra(F, n, _table(F, n, density, rng))
+
+
+def _perturbed_table(A, rng):
+    """A with one random structure constant changed by a random nonzero
+    amount, so that an identity may first fail at a later triple."""
+    F, n = A.field, A.dim
+    table = dict(A.table)
+    key = tuple(rng.randrange(n) for _ in range(3))
+    table[key] = F.add(table.get(key, F.zero), _nonzero(F, rng))
+    return Algebra(F, n, table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(IDENTITY_FIELDS)), st.sampled_from(DENSITIES),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from(IDENTITY_SOURCES),
+       st.integers(1, 4), st.booleans(), st.booleans())
+def test_triple_identities_match_dense_oracle(spec, density, seed, source, n,
+                                              transport, perturb):
+    """pre_lie, novikov and jacobi from the sparse basis products against
+    the dense triple checker: the same verdict and the same first failing
+    triple, on genuine algebras (carried through a random change of basis,
+    which fills their tables) and on perturbed and random tables."""
+    F = IDENTITY_FIELDS[spec]
+    rng = random.Random(seed)
+    A = _identity_source(F, source, n, density, rng)
+    if transport:
+        A, _ = _transport(F, A, rng, density)
+    if perturb:
+        A = _perturbed_table(A, rng)
+    for kind in TRIPLE_KINDS:
+        rep = check_identity(A, kind)
+        want = ref_identity_failure(A, kind)
+        assert rep.ok == (want is None)
+        assert rep.witness == want
+        assert rep.details == {"kind": kind}
+
+
+@pytest.mark.parametrize("spec", sorted(IDENTITY_FIELDS))
+def test_triple_identities_hold_on_genuine_algebras(spec):
+    """The accept path is reached: each genuine source satisfies its
+    identity at n = 4, and the oracle agrees."""
+    F = IDENTITY_FIELDS[spec]
+    rng = random.Random(1)
+    for source, kind in (("apex", "pre_lie"), ("minus", "jacobi"),
+                         ("polynomial", "novikov"), ("polynomial", "pre_lie")):
+        A = _identity_source(F, source, 4, 0.0, rng)
+        assert ref_identity_failure(A, kind) is None
+        assert check_identity(A, kind).ok
