@@ -29,7 +29,7 @@ from . import linalg as la
 from .errors import DimensionError, FalsificationError
 from .fields import Field, FieldError, make_field
 from .linalg import Matrix, Subspace, Vector
-from .polyring import PolyRing
+from .polyring import PolynomialField
 from .reports import CheckReport
 
 __all__ = [
@@ -368,25 +368,6 @@ def left_mult_matrix(A: Algebra, x: Vector) -> Matrix:
 
 # ---------------------------------------------------------- identity checks
 
-def _ring_product(ring: PolyRing, A: Algebra, x: list, y: list) -> list:
-    out = [ring.zero] * A.dim
-    for i in range(A.dim):
-        xi = x[i]
-        if not xi:
-            continue
-        for j in range(A.dim):
-            yj = y[j]
-            if not yj:
-                continue
-            cell = A._cells[i][j]
-            if not cell:
-                continue
-            prod = ring.mul(xi, yj)
-            for k, c in cell:
-                out[k] = ring.add(out[k], ring.scale(c, prod))
-    return out
-
-
 def _leibniz_form(A: Algebra, i: int, j: int) -> list[list[tuple]]:
     """M(b_i) b_j + b_i M(b_j) as a linear form in the entries of a matrix
     M, in the shape `_operator_equations` takes from `inner`: for each
@@ -401,7 +382,7 @@ def _leibniz_form(A: Algebra, i: int, j: int) -> list[list[tuple]]:
     return v
 
 
-def _operator_equations(A: Algebra, inner) -> list[list[tuple]]:
+def _operator_equations(A: Algebra, inner) -> list[dict]:
     """The identity M(b_i) M(b_j) = M(v_ij) on every basis pair, as scalar
     equations in the dim^2 entries of a matrix M, expanded straight from
     the nonzero structure constants.
@@ -409,10 +390,10 @@ def _operator_equations(A: Algebra, inner) -> list[list[tuple]]:
     Entry (k, m) of M is variable k * dim + m.  `inner(i, j)` returns v_ij
     as a linear form in those variables: for each coordinate m, a list of
     (coefficient, variable or None) terms, None marking a constant.  There
-    is one equation per pair and coordinate, a list of (coefficient,
-    monomial) terms whose sum must vanish, a monomial being the sorted
-    tuple of its variables.  Equations that vanish identically are left
-    out.
+    is one equation per pair and coordinate, a polynomial that must vanish,
+    in the format of `polyring`: a dict mapping a monomial, the sorted
+    tuple of its variables, to its nonzero coefficient.  Equations that
+    vanish identically are left out.
     """
     F = A.field
     n = A.dim
@@ -433,43 +414,57 @@ def _operator_equations(A: Algebra, inner) -> list[list[tuple]]:
                                 (u, var) if u <= var else (var, u))
                         sums[k][mono] = F.add(sums[k].get(mono, F.zero), c)
             for terms in sums:
-                eq = [(c, mono) for mono, c in terms.items()
-                      if not F.is_zero(c)]
+                eq = {mono: c for mono, c in terms.items()
+                      if not F.is_zero(c)}
                 if eq:
                     out.append(eq)
     return out
 
 
-def _symbolic_defects(A: Algebra, kind: str):
+def _symbolic_defects(A: Algebra, kind: str) -> tuple[int, dict]:
+    """The number of variables, and lhs - rhs of the identity on generic
+    elements, coordinates t_0..t_{n-1} for x (and t_n..t_{2n-1} for y), as
+    a sparse vector over the polynomial field: A's structure constants are
+    lifted to constants of that field, and `Algebra.product` expands."""
     n = A.dim
+    P = PolynomialField(A.field)
+    B = Algebra(P, n, {key: P.const(c) for key, c in A.table.items()})
+    x = {i: P.gen(i) for i in range(n)}
     if kind == "flexible":
-        ring = PolyRing(A.field, 2 * n)
-        x = [ring.gen(i) for i in range(n)]
-        y = [ring.gen(n + i) for i in range(n)]
-        lhs = _ring_product(ring, A, _ring_product(ring, A, x, y), x)
-        rhs = _ring_product(ring, A, x, _ring_product(ring, A, y, x))
+        y = {i: P.gen(n + i) for i in range(n)}
+        nvars = 2 * n
+        lhs = B.product(B.product(x, y), x)
+        rhs = B.product(x, B.product(y, x))
     elif kind == "third_power_associative":
-        ring = PolyRing(A.field, n)
-        x = [ring.gen(i) for i in range(n)]
-        xx = _ring_product(ring, A, x, x)
-        lhs = _ring_product(ring, A, xx, x)
-        rhs = _ring_product(ring, A, x, xx)
+        nvars = n
+        xx = B.product(x, x)
+        lhs = B.product(xx, x)
+        rhs = B.product(x, xx)
     else:
         raise ValueError(f"no symbolic expansion for kind {kind!r}")
-    return ring, [ring.sub(a, b) for a, b in zip(lhs, rhs)]
+    la.add_multiple(P, lhs, P.neg(P.one), rhs)
+    return nvars, lhs
 
 
 def _check_symbolic(A: Algebra, kind: str) -> CheckReport:
-    ring, defects = _symbolic_defects(A, kind)
-    for k, poly in enumerate(defects):
-        if not ring.is_zero(poly):
-            mono = ring.leading_monomial(poly)
-            return CheckReport(False, witness={
-                "coordinate": k + 1,
-                "monomial": list(mono),
-                "coefficient": A.field.format(poly[mono]),
-            }, details={"kind": kind, "method": "symbolic"})
-    return CheckReport(True, details={"kind": kind, "method": "symbolic"})
+    """The witness is the first nonzero coordinate of the defect, and the
+    least monomial of that coordinate as an exponent vector."""
+    nvars, defect = _symbolic_defects(A, kind)
+    details = {"kind": kind, "method": "symbolic"}
+    if not defect:
+        return CheckReport(True, details=details)
+    k = min(defect)
+    poly = defect[k]
+
+    def exponents(mono):
+        return [mono.count(v) for v in range(nvars)]
+
+    least = min(poly, key=exponents)
+    return CheckReport(False, witness={
+        "coordinate": k + 1,
+        "monomial": exponents(least),
+        "coefficient": A.field.format(poly[least]),
+    }, details=details)
 
 
 def _check_exhaustive(A: Algebra, kind: str, cap: int) -> CheckReport:
@@ -503,8 +498,9 @@ def check_identity(A: Algebra, kind: str, exhaustive: bool = False,
     once per call, with `Algebra.product` on sparse vectors; pre-Lie holds
     at (x, y, z) when (xy)z + y(xz) = (yx)z + x(yz).  flexible and
     third_power_associative are not multilinear; by default they are decided
-    symbolically (generic elements with polynomial coordinates, all
-    coefficients must vanish), with `exhaustive=True` evaluating every tuple
+    symbolically (generic elements with polynomial coordinates multiplied by
+    `Algebra.product` over `polyring.PolynomialField`, all coefficients must
+    vanish), with `exhaustive=True` evaluating every tuple
     over a finite field instead.  kind "novikov" means pre-Lie together with
     right-commutativity (x y) z = (x z) y.
     """
@@ -575,11 +571,14 @@ def is_subalgebra(A: Algebra, W: Subspace) -> CheckReport:
 def is_ideal(A: Algebra, W: Subspace) -> CheckReport:
     """A W and W A both land in W."""
     _check_ambient(A, W)
+    F = A.field
+    units = [{i: F.one} for i in range(A.dim)]
     for x in W.basis:
-        for i in range(A.dim):
-            if not W.contains(A.multiply(A.basis(i), x)):
+        v = la.sparse(F, x)
+        for i, u in enumerate(units):
+            if W.reduce(A.product(u, v)):
                 return CheckReport(False, witness=("left", i, x))
-            if not W.contains(A.multiply(x, A.basis(i))):
+            if W.reduce(A.product(v, u)):
                 return CheckReport(False, witness=("right", i, x))
     return CheckReport(True)
 

@@ -19,7 +19,11 @@ and `int`: the rationals and GF(p) test `not a` (as the builtin
 zero when both of its base coordinates are.  The base class keeps the
 generic `a == zero`.
 
-A `Field` instance is an operation handle; it never wraps scalars.
+A `Field` instance is an operation handle; it never wraps scalars.  The
+one field outside this module, `polyring.PolynomialField`, has sparse
+dicts as scalars: canonical too, so `==` is still equality, but not
+hashable, and never changed in place once made.  It serves the kernels
+that only add and multiply.
 """
 
 from __future__ import annotations

@@ -344,15 +344,6 @@ class Subspace:
                 add_multiple(F, v, neg(c), tail)
         return v
 
-    def vectors(self) -> Iterator[Vector]:
-        """All vectors of the subspace (finite fields only)."""
-        F = self.field
-        for coeffs in product(list(F.elements()), repeat=self.dim):
-            v = zero_vector(F, self.ambient)
-            for c, row in zip(coeffs, self.basis):
-                v = vadd(F, v, vscale(F, c, row))
-            yield v
-
 
 def _subspace(F: Field, ambient: int, reduced: list[dict]) -> Subspace:
     """The Subspace whose RREF basis `reduce_rows` returned."""

@@ -169,11 +169,12 @@ def scan_matrices(F: Field, dim: int, equations: list, leaf=None,
     """Every dim x dim matrix M over the finite field F that solves
     `equations` and passes leaf(F, M), if given, in canonical order.
 
-    An equation is a list of (coefficient, monomial) terms summing to zero
-    in the dim^2 entries of M (entry (k, m) is variable k * dim + m, and a
-    monomial is the tuple of its variables; a constant term has the empty
-    monomial).  Callers refuse oversized scans with `check_scan` first,
-    before they build the equations.
+    An equation is a polynomial that must vanish, in the dim^2 entries of
+    M (entry (k, m) is variable k * dim + m), in the format of `polyring`:
+    a dict mapping a monomial, the sorted tuple of its variables, to its
+    nonzero coefficient, the constant term having the empty monomial.
+    Callers refuse oversized scans with `check_scan` first, before they
+    build the equations.
     """
     order = _search_order(dim * dim, equations)
     depth = [0] * len(order)  # entry -> depth
@@ -200,7 +201,7 @@ def _search_order(nvars: int, equations: list) -> list[int]:
     """A greedy variable order: each step takes the variable that completes
     the most equations, then the one in the most equations, then the
     lowest."""
-    supports = [{v for _, mono in eq for v in mono} for eq in equations]
+    supports = [{v for mono in eq for v in mono} for eq in equations]
     placed: set[int] = set()
     order = []
 
@@ -237,7 +238,8 @@ def _compile(index: dict, equations: list,
     variables."""
     plan = [[] for _ in depth]
     for eq in equations:
-        terms = [(index[c], sorted(depth[v] for v in mono)) for c, mono in eq]
+        terms = [(index[c], sorted(depth[v] for v in mono))
+                 for mono, c in eq.items()]
         last = max((m[-1] for _, m in terms if m), default=0)
         poly = [[] for _ in range(1 + max(m.count(last) for _, m in terms))]
         for c, m in terms:

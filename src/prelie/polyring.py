@@ -1,76 +1,65 @@
-"""Minimal multivariate polynomial ring over a Field.
+"""Multivariate polynomials over a Field, as a Field.
 
-Internal helper for symbolic identity checks: identities that are not
-multilinear (a variable occurs twice or three times) are verified by
-expanding generic elements with polynomial coordinates and asking whether
-every coefficient vanishes.  Coefficient vanishing implies the identity in
-every characteristic, so this is the default check even over finite fields.
+Identities that are not multilinear (a variable occurs twice or three
+times) are verified by expanding generic elements with polynomial
+coordinates and asking whether every coefficient vanishes.  Coefficient
+vanishing implies the identity in every characteristic, so this is the
+default check even over finite fields.  Lifting the structure constants
+to `PolynomialField` lets `Algebra.product` and the sparse kernels of
+`linalg` do that expansion: they take their arithmetic from the field.
 
-Polynomials are dicts mapping exponent tuples to nonzero scalars.
+A polynomial is a sparse dict mapping a monomial, the sorted tuple of its
+variables (`()` for the constant monomial, `(0, 0, 1)` for t_0^2 t_1), to
+a nonzero scalar of the base field; zero is the empty dict.  This is also
+the format of the equations that `parallel.scan_matrices` solves.
+Polynomials are never changed in place.
 """
 
 from __future__ import annotations
 
-from .fields import Field
+from . import linalg as la
+from .fields import Field, Scalar
 
-Poly = dict
+__all__ = ["PolynomialField"]
 
 
-class PolyRing:
-    """F[t_0, ..., t_{nvars-1}] with just the arithmetic we need."""
+class PolynomialField(Field):
+    """base[t_0, t_1, ...] with the ring operations only: there is no
+    `inv`, so it is a Field for the kernels that only add and multiply."""
 
-    def __init__(self, F: Field, nvars: int):
-        self.F = F
-        self.nvars = nvars
-        self.zero: Poly = {}
-        self.one: Poly = {(0,) * nvars: F.one}
+    kind = "polynomial"
 
-    def const(self, c) -> Poly:
-        if self.F.is_zero(c):
-            return {}
-        return {(0,) * self.nvars: c}
+    def __init__(self, base: Field):
+        self.base = base
+        self.char = base.char
+        self.zero: dict = {}
+        self.one = {(): base.one}
 
-    def gen(self, i: int) -> Poly:
-        e = [0] * self.nvars
-        e[i] = 1
-        return {tuple(e): self.F.one}
+    def const(self, c: Scalar) -> dict:
+        return {} if self.base.is_zero(c) else {(): c}
 
-    def add(self, p: Poly, q: Poly) -> Poly:
-        F = self.F
+    def gen(self, i: int) -> dict:
+        return {(i,): self.base.one}
+
+    def add(self, p: dict, q: dict) -> dict:
         out = dict(p)
-        for m, c in q.items():
-            s = F.add(out.get(m, F.zero), c)
-            if F.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
+        la.add_multiple(self.base, out, self.base.one, q)
         return out
 
-    def neg(self, p: Poly) -> Poly:
-        F = self.F
-        return {m: F.neg(c) for m, c in p.items()}
+    def neg(self, p: dict) -> dict:
+        neg = self.base.neg
+        return {m: neg(c) for m, c in p.items()}
 
-    def sub(self, p: Poly, q: Poly) -> Poly:
-        return self.add(p, self.neg(q))
-
-    def mul(self, p: Poly, q: Poly) -> Poly:
-        F = self.F
-        out: Poly = {}
-        for m1, c1 in p.items():
-            for m2, c2 in q.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = F.add(out.get(m, F.zero), F.mul(c1, c2))
-                if F.is_zero(s):
-                    out.pop(m, None)
-                else:
-                    out[m] = s
+    def mul(self, p: dict, q: dict) -> dict:
+        # with m fixed, m + m2 -> its sorted tuple is one-to-one on q
+        out: dict = {}
+        for m, c in p.items():
+            la.add_multiple(self.base, out, c, {
+                tuple(sorted(m + m2)): c2 for m2, c2 in q.items()})
         return out
 
-    def scale(self, c, p: Poly) -> Poly:
-        return self.mul(self.const(c), p)
-
-    def is_zero(self, p: Poly) -> bool:
+    def is_zero(self, p: dict) -> bool:
         return not p
 
-    def leading_monomial(self, p: Poly) -> tuple[int, ...]:
-        return min(p)
+    def from_int(self, k: int) -> dict:
+        return self.const(self.base.from_int(k))

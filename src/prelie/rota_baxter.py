@@ -366,7 +366,7 @@ def enumerate_rb_operators(A: Algebra, weight: Scalar, cap: int = 10 ** 7,
                          workers=workers)
 
 
-def _rb_equations(A: Algebra, weight: Scalar) -> list[list[tuple]]:
+def _rb_equations(A: Algebra, weight: Scalar) -> list[dict]:
     """The defining identity R(b_i) R(b_j) = R(R(b_i) b_j + b_i R(b_j)
     + w b_i b_j) as scalar equations in the entries of R, one for each
     basis pair and coordinate, built from the structure constants."""

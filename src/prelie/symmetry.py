@@ -272,8 +272,8 @@ def enumerate_orthogonal(F: Field, m: int, cap: int = 10 ** 7) -> list[Matrix]:
     """
     check_scan(F, m, cap)
     return scan_matrices(F, m, [
-        [(F.one, (k * m + a, k * m + b)) for k in range(m)]
-        + ([(F.neg(F.one), ())] if a == b else [])
+        {(k * m + a, k * m + b): F.one for k in range(m)}
+        | ({(): F.neg(F.one)} if a == b else {})
         for a in range(m) for b in range(a, m)])
 
 
@@ -292,7 +292,7 @@ def enumerate_automorphisms(A: Algebra, cap: int = 10 ** 7,
                          la.is_invertible, workers=workers)
 
 
-def _product_equations(A: Algebra) -> list[list[tuple]]:
+def _product_equations(A: Algebra) -> list[dict]:
     """phi(b_i) phi(b_j) = phi(b_i b_j) as scalar equations in the entries
     of phi, one for each basis pair and coordinate, built from the
     structure constants."""

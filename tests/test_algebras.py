@@ -135,11 +135,12 @@ def test_plus_algebra_commutative_and_flexible():
 
 
 def test_symbolic_agrees_with_exhaustive_on_failures():
-    A = apex_algebra(GF3, 2)
-    for kind in ("flexible", "third_power_associative"):
-        sym = check_identity(A, kind)
-        exh = check_identity(A, kind, exhaustive=True)
-        assert sym.ok == exh.ok == False  # noqa: E712
+    for F in (GF3, GF5, PrimeField(7)):
+        A = apex_algebra(F, 2)
+        for kind in ("flexible", "third_power_associative"):
+            sym = check_identity(A, kind)
+            exh = check_identity(A, kind, exhaustive=True)
+            assert sym.ok == exh.ok == False  # noqa: E712
 
 
 def test_minus_algebra_is_a_lie_bracket():

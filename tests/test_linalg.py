@@ -129,9 +129,17 @@ def test_decode_matrix_matches_enumeration_order():
 
 def test_lagrangian_against_direct_oracle():
     # is_lagrangian tests the Gram matrix; the oracle walks every vector pair
+    def vectors(W):
+        F = W.field
+        for coeffs in product(list(F.elements()), repeat=W.dim):
+            v = [F.zero] * W.ambient
+            for c, row in zip(coeffs, W.basis):
+                v = [F.add(a, F.mul(c, b)) for a, b in zip(v, row)]
+            yield tuple(v)
+
     def oracle(W):
         return all(dot(W.field, x, y) == W.field.zero
-                   for x in W.vectors() for y in W.vectors())
+                   for x in vectors(W) for y in vectors(W))
 
     for n in (2, 3):
         for W in enumerate_subspaces(GF3, n):

@@ -5,7 +5,8 @@ enumeration, so a scan that drops a matrix fails as surely as one that
 admits a wrong one.  Beyond the reach of that filter, automorphism and
 orthogonal-block counts are held to the closed-form order of the
 orthogonal group.  The equations the scans solve are held to their slow
-expansion through the polynomial ring, on random tables.
+expansion by `Algebra.product` over the polynomial field, on random
+tables.
 """
 
 import multiprocessing
@@ -21,14 +22,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prelie import parallel
-from prelie.algebras import (Algebra, _ring_product, apex_algebra,
-                             minus_algebra)
+from prelie.algebras import Algebra, apex_algebra, minus_algebra
 from prelie.errors import CapError
 from prelie.fields import make_field
-from prelie.linalg import (enumerate_matrices, identity_matrix,
-                           is_invertible, is_orthogonal, mat_scale, vscale,
-                           zero_matrix)
-from prelie.polyring import PolyRing
+from prelie.linalg import (add_multiple, combine, enumerate_matrices,
+                           identity_matrix, is_invertible, is_orthogonal,
+                           mat_scale, zero_matrix)
+from prelie.polyring import PolynomialField
 from prelie.rota_baxter import (_rb_equations, enumerate_rb_operators,
                                 is_rb_operator, rb_residual_report,
                                 reflect_operator)
@@ -143,49 +143,47 @@ def test_scans_match_the_checkers_on_random_tables(case):
 
 def generic_equations(A, inner):
     """The identity M(b_i) M(b_j) = M(v_ij) expanded the slow way: the
-    columns of a generic matrix as polynomials, then the coefficients of
-    lhs - sum_m x_km v_m, with `inner(ring, cols, i, j)` giving v_ij."""
+    structure constants lifted to the polynomial field, the columns of a
+    generic matrix as its vectors, both sides by `Algebra.product`, and
+    the coordinates of lhs - M(v_ij), with `inner(B, cols, units, i, j)`
+    giving v_ij as a sparse vector."""
     n = A.dim
-    ring = PolyRing(A.field, n * n)
-    rows = [[ring.gen(k * n + m) for m in range(n)] for k in range(n)]
-    cols = [[rows[k][m] for k in range(n)] for m in range(n)]
+    P = PolynomialField(A.field)
+    B = Algebra(P, n, {key: P.const(c) for key, c in A.table.items()})
+    cols = [{k: P.gen(k * n + m) for k in range(n)} for m in range(n)]
+    units = [{i: P.one} for i in range(n)]
+    minus_one = P.neg(P.one)
     out = []
     for i in range(n):
         for j in range(n):
-            lhs = _ring_product(ring, A, cols[i], cols[j])
-            v = inner(ring, cols, i, j)
-            for k in range(n):
-                rhs = ring.zero
-                for m in range(n):
-                    rhs = ring.add(rhs, ring.mul(rows[k][m], v[m]))
-                defect = ring.sub(lhs[k], rhs)
-                if defect:
-                    out.append([(c, tuple(t for t, e in enumerate(exps)
-                                          for _ in range(e)))
-                                for exps, c in defect.items()])
+            defect = B.product(cols[i], cols[j])
+            image = combine(P, inner(B, cols, units, i, j).items(), cols)
+            add_multiple(P, defect, minus_one, image)
+            out.extend(defect.values())
     return out
 
 
 def generic_rb_equations(A, w):
-    def inner(ring, cols, i, j):
-        const = lambda vec: [ring.const(c) for c in vec]
-        parts = (_ring_product(ring, A, cols[i], const(A.basis(j))),
-                 _ring_product(ring, A, const(A.basis(i)), cols[j]),
-                 const(vscale(A.field, w, A.basis_product(i, j))))
-        return [ring.add(ring.add(x, y), z) for x, y, z in zip(*parts)]
+    """R(b_i) R(b_j) - R((R + wE)(b_i) b_j + b_i R(b_j))."""
+    def inner(B, cols, units, i, j):
+        P = B.field
+        shifted = {k: P.add(c, P.const(w)) if k == i else c
+                   for k, c in cols[i].items()}
+        return B.product(units[i], cols[j], B.product(shifted, units[j]))
 
     return generic_equations(A, inner)
 
 
 def generic_product_equations(A):
-    return generic_equations(A, lambda ring, cols, i, j: [
-        ring.const(c) for c in A.basis_product(i, j)])
+    """phi(b_i) phi(b_j) - phi(b_i b_j)."""
+    return generic_equations(A, lambda B, cols, units, i, j:
+                             B.product(units[i], units[j]))
 
 
 def as_multiset(F, equations):
     """Equations up to the order of equations and of terms; monomials are
     kept as given, so an unsorted one does not compare equal."""
-    return sorted(sorted((mono, F.format(c)) for c, mono in eq)
+    return sorted(sorted((mono, F.format(c)) for mono, c in eq.items())
                   for eq in equations)
 
 
