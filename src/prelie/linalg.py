@@ -14,9 +14,10 @@ a zero factor is never multiplied, a zero entry is never scaled, and a new
 sum is zero-tested once, a zero sum being dropped.  Inside the kernels a
 sparse vector is a dict mapping an index to a nonzero scalar (`sparse`
 makes one); `reduce_rows` is the row reduction on such rows that `rref`,
-`kernel` and `span` share, and `reduce_row` its incremental step, for a
-caller that grows a span one row at a time.  Fields are exact and scalars
-canonical, so skipping a zero term gives the same value as computing it.
+`kernel`, `span` and `keyed_spans` share, and `reduce_row` its
+incremental step, for a caller that grows a span one row at a time.
+Fields are exact and scalars canonical, so skipping a zero term gives the
+same value as computing it.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ __all__ = [
     "enumerate_projective", "enumerate_subspaces", "gram_matrix",
     "identity_matrix", "intersect", "is_direct_sum", "is_invertible",
     "is_lagrangian", "is_orthogonal", "is_skew_symmetric", "is_zero_matrix",
-    "is_zero_vector", "kernel", "mat_add", "mat_mul", "mat_scale", "mat_sub",
-    "mat_vec", "matrix_from_json", "matrix_sort_key", "random_matrix",
-    "random_vector", "reduce_row", "reduce_rows", "rref", "sparse",
-    "sparse_kernel", "span", "subspace_sum", "trace", "transpose", "vadd",
-    "vneg", "vscale", "vsub", "zero_matrix", "zero_vector",
+    "is_zero_vector", "kernel", "keyed_spans", "mat_add", "mat_mul",
+    "mat_scale", "mat_sub", "mat_vec", "matrix_from_json", "matrix_sort_key",
+    "random_matrix", "random_vector", "reduce_row", "reduce_rows", "rref",
+    "sparse", "sparse_kernel", "span", "subspace_sum", "trace", "transpose",
+    "vadd", "vneg", "vscale", "vsub", "zero_matrix", "zero_vector",
 ]
 
 
@@ -229,6 +230,23 @@ def reduce_rows(F: Field, rows: Iterable[dict]) -> tuple[list[dict], tuple[int, 
     one = F.one
     pivots = tuple(sorted(tails))
     return [{p: one, **tails[p]} for p in pivots], pivots
+
+
+def keyed_spans(F: Field, systems: Iterable[Iterable[dict]]) -> list[list[dict]]:
+    """The span of each system of sparse rows whose keys are any hashable
+    labels (the monomials of `polyring`, for one), as its reduced rows.
+
+    The labels are numbered into columns through one dict shared by every
+    system, in order of first appearance, and each system is reduced on
+    its own (`reduce_rows`).  The RREF is unique once the column order is
+    fixed, so two systems span the same space exactly when their reduced
+    rows are equal; no joint reduction is needed.
+    """
+    columns: dict = {}
+    number = lambda key: columns.setdefault(key, len(columns))
+    return [reduce_rows(F, ({number(key): c for key, c in row.items()}
+                            for row in rows))[0]
+            for rows in systems]
 
 
 def rref(F: Field, M: Sequence[Sequence[Scalar]]) -> tuple[Matrix, int, tuple[int, ...]]:

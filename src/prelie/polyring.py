@@ -63,3 +63,6 @@ class PolynomialField(Field):
 
     def from_int(self, k: int) -> dict:
         return self.const(self.base.from_int(k))
+
+    def descriptor(self) -> dict:
+        return {"kind": "polynomial", "base": self.base.descriptor()}

@@ -366,16 +366,22 @@ def enumerate_rb_operators(A: Algebra, weight: Scalar, cap: int = 10 ** 7,
                          workers=workers)
 
 
-def _rb_equations(A: Algebra, weight: Scalar) -> list[dict]:
+def _rb_equations(A: Algebra, weight: Scalar | None) -> list[dict]:
     """The defining identity R(b_i) R(b_j) = R(R(b_i) b_j + b_i R(b_j)
     + w b_i b_j) as scalar equations in the entries of R, one for each
-    basis pair and coordinate, built from the structure constants."""
+    basis pair and coordinate, built from the structure constants.
+
+    A weight of None makes w the variable dim^2, after the dim^2 entries
+    of R: the term w c then has the monomial (entry, dim^2) instead of the
+    constant coefficient w c, and one system holds for every weight."""
     F = A.field
+    w_var = A.dim ** 2
 
     def inner(i, j):
         v = _leibniz_form(A, i, j)
         for k, c in enumerate(A.basis_product(i, j)):
-            v[k].append((F.mul(weight, c), None))
+            v[k].append((c, w_var) if weight is None else
+                        (F.mul(weight, c), None))
         return v
 
     return _operator_equations(A, inner)

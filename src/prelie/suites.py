@@ -25,26 +25,26 @@ import random
 import time
 import zlib
 from dataclasses import dataclass
-from itertools import chain
 
 from . import linalg as la
-from .algebras import (apex_algebra, check_identity, dot_product_algebra,
-                       infinite_truncation_algebra, is_ideal, is_simple,
-                       permute_basis, plus_algebra, rebased_first_row,
-                       right_mult_matrix, unital_extension)
+from .algebras import (Algebra, apex_algebra, check_identity,
+                       dot_product_algebra, infinite_truncation_algebra,
+                       is_ideal, is_simple, permute_basis, plus_algebra,
+                       rebased_first_row, right_mult_matrix, unital_extension)
 from .errors import CapError
 from .fields import Field, FieldError, make_field
-from .reports import residuals_vanish
-from .rota_baxter import (classify_case, enumerate_decompositions,
-                          enumerate_rb_operators, is_rb_operator,
-                          is_splitting, is_trivial_operator,
+from .linalg import Matrix
+from .polyring import PolynomialField
+from .rota_baxter import (_rb_equations, classify_case,
+                          enumerate_decompositions, enumerate_rb_operators,
+                          is_rb_operator, is_splitting, is_trivial_operator,
                           isotropic_column_operator,
                           isotropic_line_decomposition, rb_index,
                           rb_residuals, rational_triviality_check,
                           reflect_operator, skew_pairing_operator,
                           splitting_certificate, splitting_operator,
                           square_isotropy_check, totally_real_isotropy_check)
-from .symmetry import (_embed, _product_failure,
+from .symmetry import (_embed, _leibniz_rows, _product_equations,
                        automorphism_orthogonal_correspondence,
                        automorphism_residuals, derivation_residuals,
                        derivation_skew_correspondence, embed_orthogonal,
@@ -236,58 +236,65 @@ def _check_automorphisms(run: _SuiteRun) -> tuple[bool, str | None]:
     return _covered(ran)
 
 
-def _genuine_symmetries(F: Field, n: int) -> tuple:
-    """Fixed symmetries of the apex algebra of dimension n, drawn from no
-    rng: the automorphisms diag(E, 1) and diag(P, 1), P the cyclic shift
-    with its first entry negated, and the derivation diag(S, 0) with
-    S_ij = j - i."""
-    m = n - 1
-    shift = tuple(tuple(F.zero if j != (i + 1) % m else
-                        F.neg(F.one) if i == 0 else F.one
-                        for j in range(m)) for i in range(m))
-    skew = tuple(tuple(F.from_int(j - i) for j in range(m))
-                 for i in range(m))
-    return (embed_orthogonal(F, la.identity_matrix(F, m), n),
-            embed_orthogonal(F, shift, n), embed_skew(F, skew, n))
+def _generic(F: Field, n: int) -> tuple[Algebra, Matrix]:
+    """The apex algebra of dimension n over the polynomial field of F, and
+    the generic matrix there, entry (k, m) the variable k * n + m: the
+    variables of the scan equations."""
+    P = PolynomialField(F)
+    return apex_algebra(P, n), tuple(tuple(P.gen(k * n + m)
+                                           for m in range(n))
+                                     for k in range(n))
+
+
+def _span_witness(F: Field, n: int, kind: str, residuals,
+                  equations: list[dict]) -> str | None:
+    """None when the residual values, polynomials over F, span the same
+    space over F as the defining equations; else the witness, with the
+    two ranks.  Equal spans have the same zeros over every extension of F,
+    so the residuals vanish exactly where the identity holds."""
+    hand, defining = la.keyed_spans(F, ([value for _, value in residuals],
+                                        equations))
+    if hand == defining:
+        return None
+    return f"{kind} residuals disagree at {F!r} n={n}: hand rank " \
+        f"{len(hand)}, defining rank {len(defining)}"
 
 
 def _check_residuals_symmetry(run: _SuiteRun) -> tuple[bool, str | None]:
-    """The automorphism and derivation residual systems agree with the
-    generic checkers on genuine symmetries, so that the accept side is
-    compared too, and on random matrices.  Each verdict stops at the first
-    nonzero residual; `residual_report` is the full oracle."""
-    rng = _rng_for(run.config, "residuals-symmetry")
+    """The automorphism and derivation residual systems, on the generic
+    matrix, span the same polynomials as multiplicativity
+    (`_product_equations`) and the Leibniz rows (`_leibniz_rows`), over
+    each field at each n: an exact comparison, on every matrix at once."""
     for F in run.fields:
         for n in range(2, run.config.max_n + 1):
             A = apex_algebra(F, n)
-            randoms = (la.random_matrix(F, n, n, rng) for _ in range(40))
-            for M in chain(_genuine_symmetries(F, n), randoms):
-                mult = _product_failure(A, M) is None
-                if residuals_vanish(F, automorphism_residuals(A, M)) != mult:
-                    return False, f"automorphism residuals disagree at " \
-                        f"{F!r} n={n}: {M}"
-                if residuals_vanish(F, derivation_residuals(A, M)) != \
-                        is_derivation(A, M).ok:
-                    return False, f"derivation residuals disagree at " \
-                        f"{F!r} n={n}: {M}"
+            B, M = _generic(F, n)
+            leibniz = [{(u,): c for u, c in row.items()}
+                       for row in _leibniz_rows(A)]
+            witness = (_span_witness(F, n, "automorphism",
+                                     automorphism_residuals(B, M),
+                                     _product_equations(A))
+                       or _span_witness(F, n, "derivation",
+                                        derivation_residuals(B, M), leibniz))
+            if witness:
+                return False, witness
     return True, None
 
 
 def _check_residuals_rb(run: _SuiteRun) -> tuple[bool, str | None]:
-    """The operator residual system agrees with the generic checker on
-    random matrices.  Each verdict stops at the first nonzero residual;
-    `residual_report` is the full oracle."""
-    rng = _rng_for(run.config, "residuals-rb")
+    """The operator residual system, on the generic matrix and with the
+    weight as the variable n^2, spans the same polynomials as the defining
+    identity (`_rb_equations` with the weight as that variable), over each
+    field at each n.  The relation has constant coefficients, so one exact
+    comparison covers every weight over every extension of the field."""
     for F in run.fields:
         for n in range(2, run.config.max_n + 1):
-            A = apex_algebra(F, n)
-            for w in _weights(F, rng):
-                for _ in range(25):
-                    M = la.random_matrix(F, n, n, rng)
-                    if residuals_vanish(F, rb_residuals(A, M, w)) != \
-                            is_rb_operator(A, M, w).ok:
-                        return False, f"operator residuals disagree at " \
-                            f"{F!r} n={n} w={F.format(w)}: {M}"
+            B, M = _generic(F, n)
+            witness = _span_witness(F, n, "operator",
+                                    rb_residuals(B, M, B.field.gen(n * n)),
+                                    _rb_equations(apex_algebra(F, n), None))
+            if witness:
+                return False, witness
     return True, None
 
 

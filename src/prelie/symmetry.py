@@ -89,9 +89,15 @@ def is_derivation(A: Algebra, d: Matrix) -> CheckReport:
 
 def derivation_algebra(A: Algebra) -> Subspace:
     """All derivations of A, as a subspace of F^(dim^2) (matrices flattened
-    row-major): the kernel of the Leibniz rows d(b_i b_j) - d(b_i) b_j
-    - b_i d(b_j), one for each basis pair and coordinate, built sparse from
-    the structure constants (entry (k, m) of d is variable k * dim + m)."""
+    row-major): the kernel of the Leibniz rows (`_leibniz_rows`)."""
+    return la.sparse_kernel(A.field, _leibniz_rows(A), A.dim ** 2)
+
+
+def _leibniz_rows(A: Algebra) -> list[dict]:
+    """The Leibniz rows d(b_i b_j) - d(b_i) b_j - b_i d(b_j), one for each
+    basis pair and coordinate that is not identically zero, as sparse rows
+    in the dim^2 entries of d (entry (k, m) is variable k * dim + m),
+    built from the structure constants."""
     F = A.field
     neg = F.neg
     n = A.dim
@@ -106,7 +112,7 @@ def derivation_algebra(A: Algebra) -> Subspace:
                     la.add_multiple(F, row, neg(c), units[u])
                 if row:
                     rows.append(row)
-    return la.sparse_kernel(F, rows, n * n)
+    return rows
 
 
 def derivation_matrices(A: Algebra) -> tuple[Matrix, ...]:

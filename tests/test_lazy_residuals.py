@@ -20,14 +20,14 @@ from prelie.algebras import (apex_algebra, unital_extension,
 from prelie.errors import DimensionError
 from prelie.fields import make_field
 from prelie.reports import residual_report, residuals_vanish
-from prelie.rota_baxter import (enumerate_rb_operators,
+from prelie.rota_baxter import (_rb_equations, enumerate_rb_operators,
                                 isotropic_column_operator,
                                 isotropic_line_decomposition, rb_residuals,
                                 reflect_operator, skew_pairing_operator,
                                 splitting_operator)
-from prelie.symmetry import (automorphism_residuals, derivation_matrices,
-                             derivation_residuals, enumerate_automorphisms,
-                             is_automorphism, is_derivation)
+from prelie.symmetry import (_leibniz_rows, _product_equations,
+                             automorphism_residuals, derivation_matrices,
+                             derivation_residuals, enumerate_automorphisms)
 
 from test_sparse_kernels import CountingField
 
@@ -183,16 +183,28 @@ def test_vanish_stops_at_the_first_nonzero_residual(kind):
 
 # ------------------------------------------- the suite's accept side
 
+# rank of each system on the generic matrix at n = 2..5, in every odd or
+# zero characteristic tried; the derivations' is n^2 - (n-1)(n-2)/2
+SPAN_RANKS = {"rb": (7, 24, 52, 95), "automorphism": (8, 26, 61, 119),
+              "derivation": (4, 8, 13, 19)}
+
+
 @pytest.mark.parametrize("spec", sorted(FIELDS))
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_the_suite_samples_are_genuine_symmetries(spec, n):
+def test_the_suite_spans_agree_with_the_defining_equations(spec, n):
+    F = FIELDS[spec]
     A = APEX[spec, n]
-    identity, shift, skew = suites._genuine_symmetries(FIELDS[spec], n)
-    assert identity == la.identity_matrix(FIELDS[spec], n)
-    assert is_automorphism(A, identity) and is_automorphism(A, shift)
-    assert shift != identity
-    assert is_derivation(A, skew)
-    assert not la.is_zero_matrix(FIELDS[spec], skew) or n == 2
+    B, M = suites._generic(F, n)
+    w = B.field.gen(n * n)
+    leibniz = [{(u,): c for u, c in row.items()} for row in _leibniz_rows(A)]
+    defining = {"rb": _rb_equations(A, None),
+                "automorphism": _product_equations(A),
+                "derivation": leibniz}
+    for kind, stream in _streams(B, M, w).items():
+        hand, other = la.keyed_spans(F, ([v for _, v in stream()],
+                                         defining[kind]))
+        assert hand == other, kind
+        assert len(hand) == SPAN_RANKS[kind][n - 2], kind
 
 
 def test_symmetry_residuals_check_compares_the_accept_side(monkeypatch):

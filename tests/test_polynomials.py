@@ -12,8 +12,9 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from prelie.algebras import (Algebra, check_identity,
-                             upper_triangular_algebra)
+from prelie import linalg as la
+from prelie.algebras import (Algebra, apex_algebra, check_identity,
+                             is_subalgebra, upper_triangular_algebra)
 from prelie.fields import QuadraticField, RationalField, make_field
 from prelie.polyring import PolynomialField
 from prelie.reports import CheckReport
@@ -55,6 +56,18 @@ def test_mul_commutes_and_distributes_over_add(p, q, r):
     for poly in (P5.add(p, q), P5.mul(p, q)):
         assert all(mono == tuple(sorted(mono)) and c
                    for mono, c in poly.items())
+
+
+def test_a_lifted_algebra_compares_and_has_subspaces():
+    A = apex_algebra(GF5, 3)
+    B = Algebra(P5, 3, {key: P5.const(c) for key, c in A.table.items()})
+    assert B == B and B == apex_algebra(P5, 3)
+    assert P5 == PolynomialField(make_field("gf5"))
+    assert P5 != PolynomialField(make_field("gf3")) and P5 != GF5
+    apex = la.Subspace(P5, 3, ((P5.zero, P5.zero, P5.one),))
+    first = la.Subspace(P5, 3, ((P5.one, P5.zero, P5.zero),))
+    assert is_subalgebra(B, apex)
+    assert is_subalgebra(B, first).witness == (0, 0)
 
 
 # ------------------------------------- the symbolic checks against an oracle
