@@ -60,7 +60,9 @@ def vadd(F: Field, x: Vector, y: Vector) -> Vector:
                  for a, b in zip(x, y))
 
 def vsub(F: Field, x: Vector, y: Vector) -> Vector:
-    return tuple(F.sub(a, b) for a, b in zip(x, y))
+    is_zero, neg, sub = F.is_zero, F.neg, F.sub
+    return tuple(a if is_zero(b) else neg(b) if is_zero(a) else sub(a, b)
+                 for a, b in zip(x, y))
 
 def vneg(F: Field, x: Vector) -> Vector:
     return tuple(F.neg(a) for a in x)

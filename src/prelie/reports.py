@@ -35,9 +35,3 @@ def residual_report(F, residuals) -> CheckReport:
            if not F.is_zero(value)]
     return CheckReport(not bad, witness=bad[0] if bad else None,
                        details={"violations": len(bad)})
-
-
-def residuals_vanish(F, residuals) -> bool:
-    """The verdict of `residual_report` alone: stops at the first nonzero
-    scalar, so a lazy residual stream is evaluated no further."""
-    return all(F.is_zero(v) for _, v in residuals)

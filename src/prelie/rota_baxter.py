@@ -84,9 +84,11 @@ def _rb_failure(A: Algebra, R: Matrix,
 def reflect_operator(F: Field, R: Matrix, weight: Scalar) -> Matrix:
     """The involution R -> -R - w id, which maps weight-w operators to
     weight-w operators and swaps the two kernels."""
-    n = len(R)
-    return la.mat_sub(F, la.mat_scale(F, F.neg(F.one), R),
-                      la.mat_scale(F, weight, la.identity_matrix(F, n)))
+    is_zero, neg, sub = F.is_zero, F.neg, F.sub
+    return tuple(tuple(sub(neg(a), weight) if j == i
+                       else a if is_zero(a) else neg(a)
+                       for j, a in enumerate(row))
+                 for i, row in enumerate(R))
 
 
 def is_splitting(F: Field, R: Matrix, weight: Scalar) -> bool:
@@ -379,7 +381,7 @@ def _rb_equations(A: Algebra, weight: Scalar | None) -> list[dict]:
 
     def inner(i, j):
         v = _leibniz_form(A, i, j)
-        for k, c in enumerate(A.basis_product(i, j)):
+        for k, c in A.basis_terms(i, j):
             v[k].append((c, w_var) if weight is None else
                         (F.mul(weight, c), None))
         return v
@@ -404,11 +406,11 @@ def rb_index(A: Algebra, weight: Scalar,
     bound = max(n * n, 1)
     worst = 0
     for R in operators:
-        rp = _powers(F, R, bound)
-        sp = _powers(F, shift(R), bound)
+        rp = _powers(F, R)
+        sp = _powers(F, shift(R))
         m_r = next((m for m in range(1, bound + 1)
                     for k in range(m + 1)
-                    if la.is_zero_matrix(F, la.mat_mul(F, rp[k], sp[m - k]))),
+                    if la.is_zero_matrix(F, la.mat_mul(F, rp(k), sp(m - k)))),
                    None)
         if m_r is None:
             return None
@@ -416,11 +418,15 @@ def rb_index(A: Algebra, weight: Scalar,
     return worst
 
 
-def _powers(F: Field, M: Matrix, upto: int) -> list[Matrix]:
+def _powers(F: Field, M: Matrix):
+    """k -> M^k, each power computed on first use and kept."""
     out = [la.identity_matrix(F, len(M))]
-    for _ in range(upto):
-        out.append(la.mat_mul(F, out[-1], M))
-    return out
+
+    def power(k: int) -> Matrix:
+        while len(out) <= k:
+            out.append(la.mat_mul(F, out[-1], M))
+        return out[k]
+    return power
 
 
 def enumerate_decompositions(A: Algebra, cap: int = 10 ** 6) -> list[dict]:

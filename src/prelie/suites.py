@@ -246,13 +246,14 @@ def _generic(F: Field, n: int) -> tuple[Algebra, Matrix]:
                                      for k in range(n))
 
 
-def _span_witness(F: Field, n: int, kind: str, residuals,
+def _span_witness(F: Field, P: Field, n: int, kind: str, residuals,
                   equations: list[dict]) -> str | None:
-    """None when the residual values, polynomials over F, span the same
-    space over F as the defining equations; else the witness, with the
-    two ranks.  Equal spans have the same zeros over every extension of F,
-    so the residuals vanish exactly where the identity holds."""
-    hand, defining = la.keyed_spans(F, ([value for _, value in residuals],
+    """None when the residual values, polynomials over the prime field P
+    of F, span the same space over P as the defining equations; else the
+    witness, naming F, with the two ranks.  Equal spans have the same
+    zeros over every extension of P, so the residuals vanish exactly where
+    the identity holds, over F too."""
+    hand, defining = la.keyed_spans(P, ([value for _, value in residuals],
                                         equations))
     if hand == defining:
         return None
@@ -260,21 +261,41 @@ def _span_witness(F: Field, n: int, kind: str, residuals,
         f"{len(hand)}, defining rank {len(defining)}"
 
 
+def _prime_fields(fields: list[Field]):
+    """(F, P) for each field F of the run, in order, P its prime field,
+    leaving out a field whose prime field an earlier one already had.
+
+    Both residual systems are built from the integer apex table with the
+    constants `from_int` gives, so over an extension of P they are the
+    systems over P with each coefficient embedded, and their reduced rows
+    are the embedded rows over P: the ranks do not change under the
+    extension.  One comparison over P thus decides F and every other
+    configured field of its characteristic, and a failure over P is
+    reported at the first of them, as a comparison over F would be."""
+    seen = []
+    for F in fields:
+        P = F.base if F.kind == "quadratic" else F
+        if P not in seen:
+            seen.append(P)
+            yield F, P
+
+
 def _check_residuals_symmetry(run: _SuiteRun) -> tuple[bool, str | None]:
     """The automorphism and derivation residual systems, on the generic
     matrix, span the same polynomials as multiplicativity
     (`_product_equations`) and the Leibniz rows (`_leibniz_rows`), over
-    each field at each n: an exact comparison, on every matrix at once."""
-    for F in run.fields:
+    each field at each n: an exact comparison, on every matrix at once,
+    made once per prime field (`_prime_fields`)."""
+    for F, P in _prime_fields(run.fields):
         for n in range(2, run.config.max_n + 1):
-            A = apex_algebra(F, n)
-            B, M = _generic(F, n)
+            A = apex_algebra(P, n)
+            B, M = _generic(P, n)
             leibniz = [{(u,): c for u, c in row.items()}
                        for row in _leibniz_rows(A)]
-            witness = (_span_witness(F, n, "automorphism",
+            witness = (_span_witness(F, P, n, "automorphism",
                                      automorphism_residuals(B, M),
                                      _product_equations(A))
-                       or _span_witness(F, n, "derivation",
+                       or _span_witness(F, P, n, "derivation",
                                         derivation_residuals(B, M), leibniz))
             if witness:
                 return False, witness
@@ -286,13 +307,14 @@ def _check_residuals_rb(run: _SuiteRun) -> tuple[bool, str | None]:
     weight as the variable n^2, spans the same polynomials as the defining
     identity (`_rb_equations` with the weight as that variable), over each
     field at each n.  The relation has constant coefficients, so one exact
-    comparison covers every weight over every extension of the field."""
-    for F in run.fields:
+    comparison over the prime field covers every weight over every
+    extension of it, the configured ones included (`_prime_fields`)."""
+    for F, P in _prime_fields(run.fields):
         for n in range(2, run.config.max_n + 1):
-            B, M = _generic(F, n)
-            witness = _span_witness(F, n, "operator",
+            B, M = _generic(P, n)
+            witness = _span_witness(F, P, n, "operator",
                                     rb_residuals(B, M, B.field.gen(n * n)),
-                                    _rb_equations(apex_algebra(F, n), None))
+                                    _rb_equations(apex_algebra(P, n), None))
             if witness:
                 return False, witness
     return True, None

@@ -19,7 +19,7 @@ from prelie.algebras import (apex_algebra, unital_extension,
                              upper_triangular_algebra)
 from prelie.errors import DimensionError
 from prelie.fields import make_field
-from prelie.reports import residual_report, residuals_vanish
+from prelie.reports import residual_report
 from prelie.rota_baxter import (_rb_equations, enumerate_rb_operators,
                                 isotropic_column_operator,
                                 isotropic_line_decomposition, rb_residuals,
@@ -34,6 +34,12 @@ from test_sparse_kernels import CountingField
 FIELDS = {spec: make_field(spec) for spec in ("gf3", "gf5", "q", "qi")}
 APEX = {(spec, n): apex_algebra(F, n)
         for spec, F in FIELDS.items() for n in range(2, 6)}
+
+
+def residuals_vanish(F, residuals) -> bool:
+    """The verdict of `residual_report` alone: stops at the first nonzero
+    scalar, so a lazy residual stream is evaluated no further."""
+    return all(F.is_zero(v) for _, v in residuals)
 
 
 def _streams(A, M, w):

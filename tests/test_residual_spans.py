@@ -6,7 +6,9 @@ span of the result with the span of the defining equations
 (`linalg.keyed_spans`).  Each mutant below perturbs one named residual
 over that field, as a wrapper around the real builder, and must make its
 check fail with the "... residuals disagree" witness.  `keyed_spans` is
-held to `rref` of the dense joint matrix.
+held to `rref` of the dense joint matrix.  The checks compare once per
+prime field; the comparison over each extension field stays here as the
+oracle that makes that exact.
 """
 
 import random
@@ -17,8 +19,9 @@ from hypothesis import given, settings, strategies as st
 from prelie import linalg as la
 from prelie import suites
 from prelie.fields import make_field
-from prelie.rota_baxter import rb_residuals
-from prelie.symmetry import automorphism_residuals, derivation_residuals
+from prelie.rota_baxter import _rb_equations, rb_residuals
+from prelie.symmetry import (_leibniz_rows, _product_equations,
+                             automorphism_residuals, derivation_residuals)
 
 
 def perturbed(builder, name, change):
@@ -210,3 +213,83 @@ def test_keyed_spans_share_one_column_order():
                                        [{x: F.one, y: F.one},
                                         {x: F.one, y: F.neg(F.one)}]))
     assert first == second == [{0: F.one}, {1: F.one}]
+
+
+# ----------------------------------------------- one comparison per prime field
+
+def embedded(E, rows):
+    """Rows over the prime field of E, each coefficient c as (c, 0) in E."""
+    zero = E.base.zero
+    return [{key: (c, zero) for key, c in row.items()} for row in rows]
+
+
+def the_systems(F, n):
+    """(name, hand values, defining rows) of the three residual systems on
+    the generic matrix over F at n, as the suite builds them."""
+    A = suites.apex_algebra(F, n)
+    B, M = suites._generic(F, n)
+    leibniz = [{(u,): c for u, c in row.items()} for row in _leibniz_rows(A)]
+    return [
+        ("operator", rb_residuals(B, M, B.field.gen(n * n)),
+         _rb_equations(A, None)),
+        ("automorphism", automorphism_residuals(B, M), _product_equations(A)),
+        ("derivation", derivation_residuals(B, M), leibniz),
+    ]
+
+
+@pytest.mark.parametrize("spec", ["qi", "gf9", "gf25"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_extension_systems_are_the_prime_field_systems_embedded(spec, n):
+    # the oracle behind comparing once per prime field: over an extension
+    # the systems and their reduced rows are the prime field's, embedded
+    E = make_field(spec)
+    P = E.base
+    for (kind, hand_e, defining_e), (_, hand_p, defining_p) in zip(
+            the_systems(E, n), the_systems(P, n)):
+        hand_e = [v for _, v in hand_e]
+        hand_p = [v for _, v in hand_p]
+        assert hand_e == embedded(E, hand_p), kind
+        assert defining_e == embedded(E, defining_p), kind
+        spans_e = la.keyed_spans(E, (hand_e, defining_e))
+        spans_p = la.keyed_spans(P, (hand_p, defining_p))
+        assert spans_e == [embedded(E, rows) for rows in spans_p], kind
+
+
+def test_the_default_config_compares_once_per_prime_field(monkeypatch):
+    seen = []
+    keyed_spans = la.keyed_spans
+
+    def counting(F, systems):
+        seen.append(F)
+        return keyed_spans(F, systems)
+
+    monkeypatch.setattr(suites.la, "keyed_spans", counting)
+    run = suites._SuiteRun(suites.RunConfig())
+    assert suites._check_residuals_rb(run) == (True, None)
+    assert suites._check_residuals_symmetry(run) == (True, None)
+    # {Q, GF(3), GF(5)} x n = 2..4 x three systems; Q(i) reuses Q's
+    assert len(seen) == 27
+    assert sorted({repr(F) for F in seen}) == ["GF(3)", "GF(5)", "Q"]
+
+
+@pytest.mark.parametrize("spec, name", [("qi", "Q(sqrt(-1))"),
+                                        ("gf9", "GF(3)(sqrt(2))")])
+def test_a_mutant_fails_over_an_extension_alone(monkeypatch, spec, name):
+    monkeypatch.setattr(suites, "rb_residuals", perturbed(
+        rb_residuals, "nn_s",
+        lambda P, M, w, s: P.add(s, twice(P, apex_dot(P, M)))))
+    ok, witness = run_check(suites._check_residuals_rb, fields=(spec,))
+    assert not ok
+    assert witness.startswith(f"operator residuals disagree at {name} n=2: ")
+
+
+def test_a_failure_names_the_first_field_of_its_characteristic(monkeypatch):
+    monkeypatch.setattr(suites, "automorphism_residuals", perturbed(
+        automorphism_residuals, "nn_s",
+        lambda P, M, s: P.sub(s, twice(P, apex_dot(P, M)))))
+    ok, witness = run_check(suites._check_residuals_symmetry,
+                            fields=("gf5", "qi", "q"))
+    assert not ok and " at GF(5) n=2: " in witness
+    ok, witness = run_check(suites._check_residuals_symmetry,
+                            fields=("qi", "q", "gf3"))
+    assert not ok and " at Q(sqrt(-1)) n=2: " in witness
