@@ -17,9 +17,8 @@ from .algebras import (Algebra, UpperTriangular, apex_algebra, check_identity,
                        rebased_first_row, right_mult_matrix, unital_extension,
                        upper_triangular_algebra)
 from .symmetry import (automorphism_orthogonal_correspondence,
-                       automorphism_residual_report, automorphism_residuals,
-                       derivation_algebra, derivation_matrices,
-                       derivation_residual_report, derivation_residuals,
+                       automorphism_residuals, derivation_algebra,
+                       derivation_matrices, derivation_residuals,
                        derivation_skew_correspondence, embed_orthogonal,
                        embed_skew, enumerate_automorphisms,
                        enumerate_orthogonal, is_automorphism, is_derivation)
@@ -28,11 +27,10 @@ from .rota_baxter import (classify_case, enumerate_decompositions,
                           is_splitting, is_trivial_operator,
                           isotropic_column_operator,
                           isotropic_line_decomposition, rb_index,
-                          rb_residual_report, rb_residuals,
-                          rational_triviality_check, reflect_operator,
-                          skew_pairing_operator, splitting_certificate,
-                          splitting_operator, square_isotropy_check,
-                          totally_real_isotropy_check)
+                          rb_residuals, rational_triviality_check,
+                          reflect_operator, skew_pairing_operator,
+                          splitting_certificate, splitting_operator,
+                          square_isotropy_check, totally_real_isotropy_check)
 from .reports import CheckReport
 
 __version__ = "0.1.0"
@@ -42,10 +40,9 @@ __all__ = [
     "FalsificationError", "Field", "FieldError", "PrelieError", "PrimeField",
     "QuadraticField", "RationalField", "Subspace", "UpperTriangular",
     "apex_algebra", "automorphism_orthogonal_correspondence",
-    "automorphism_residual_report", "automorphism_residuals",
-    "check_identity", "classify_case", "derivation_algebra",
-    "derivation_matrices", "derivation_residual_report",
-    "derivation_residuals", "derivation_skew_correspondence",
+    "automorphism_residuals", "check_identity", "classify_case",
+    "derivation_algebra", "derivation_matrices", "derivation_residuals",
+    "derivation_skew_correspondence",
     "dot_product_algebra", "embed_orthogonal", "embed_skew",
     "enumerate_automorphisms", "enumerate_decompositions",
     "enumerate_orthogonal", "enumerate_rb_operators", "ideal_closure",
@@ -55,8 +52,8 @@ __all__ = [
     "is_subalgebra", "is_trivial_operator", "isotropic_column_operator",
     "isotropic_line_decomposition", "kernel", "left_mult_matrix",
     "make_field", "minus_algebra", "permute_basis", "plus_algebra",
-    "rational_triviality_check", "rb_index", "rb_residual_report",
-    "rb_residuals", "rebased_first_row", "reflect_operator",
+    "rational_triviality_check", "rb_index", "rb_residuals",
+    "rebased_first_row", "reflect_operator",
     "right_mult_matrix", "rref", "skew_pairing_operator", "span",
     "splitting_certificate", "splitting_operator", "square_isotropy_check",
     "subspace_sum", "totally_real_isotropy_check", "unital_extension",

@@ -39,7 +39,7 @@ __all__ = [
     "identity_matrix", "intersect", "is_direct_sum", "is_invertible",
     "is_lagrangian", "is_orthogonal", "is_skew_symmetric", "is_zero_matrix",
     "is_zero_vector", "kernel", "keyed_spans", "mat_add", "mat_mul",
-    "mat_scale", "mat_sub", "mat_vec", "matrix_from_json", "matrix_sort_key",
+    "mat_scale", "mat_vec", "matrix_from_json", "matrix_sort_key",
     "random_matrix", "random_vector", "reduce_row", "reduce_rows", "rref",
     "sparse", "sparse_kernel", "span", "subspace_sum", "trace", "transpose",
     "vadd", "vneg", "vscale", "vsub", "zero_matrix", "zero_vector",
@@ -166,9 +166,6 @@ def mat_mul(F: Field, A: Matrix, B: Matrix) -> Matrix:
 
 def mat_add(F: Field, A: Matrix, B: Matrix) -> Matrix:
     return tuple(vadd(F, r, s) for r, s in zip(A, B))
-
-def mat_sub(F: Field, A: Matrix, B: Matrix) -> Matrix:
-    return tuple(vsub(F, r, s) for r, s in zip(A, B))
 
 def mat_scale(F: Field, c: Scalar, A: Matrix) -> Matrix:
     return tuple(vscale(F, c, r) for r in A)

@@ -23,15 +23,3 @@ class CheckReport:
     def __bool__(self) -> bool:
         return self.ok
 
-
-def residual_report(F, residuals) -> CheckReport:
-    """Verdict for a named residual system: ok iff every scalar vanishes.
-
-    `residuals` is an iterable of (name, scalar) pairs, consumed in full;
-    the witness is the first violated name with its value, details count
-    the violations.
-    """
-    bad = [(name, F.format(value)) for name, value in residuals
-           if not F.is_zero(value)]
-    return CheckReport(not bad, witness=bad[0] if bad else None,
-                       details={"violations": len(bad)})

@@ -32,16 +32,15 @@ from .errors import CapError, DimensionError, FalsificationError
 from .fields import Field, FieldError, Scalar
 from .linalg import Matrix, Subspace
 from .parallel import check_scan, scan_matrices
-from .reports import CheckReport, residual_report
+from .reports import CheckReport
 
 __all__ = [
     "classify_case", "enumerate_decompositions", "enumerate_rb_operators",
     "is_rb_operator", "is_splitting", "is_trivial_operator",
     "isotropic_column_operator", "isotropic_line_decomposition", "rb_index",
-    "rb_residual_report", "rb_residuals", "rational_triviality_check",
-    "reflect_operator", "skew_pairing_operator", "splitting_certificate",
-    "splitting_operator", "square_isotropy_check",
-    "totally_real_isotropy_check",
+    "rb_residuals", "rational_triviality_check", "reflect_operator",
+    "skew_pairing_operator", "splitting_certificate", "splitting_operator",
+    "square_isotropy_check", "totally_real_isotropy_check",
 ]
 
 
@@ -93,16 +92,14 @@ def reflect_operator(F: Field, R: Matrix, weight: Scalar) -> Matrix:
 
 def is_splitting(F: Field, R: Matrix, weight: Scalar) -> bool:
     """Quadratic characterization: R^2 + wR = 0."""
-    n = len(R)
     q = la.mat_add(F, la.mat_mul(F, R, R), la.mat_scale(F, weight, R))
     return la.is_zero_matrix(F, q)
 
 
 def is_trivial_operator(F: Field, R: Matrix, weight: Scalar) -> bool:
     """R = 0 or R = -w id, the operators present for every algebra."""
-    n = len(R)
     return la.is_zero_matrix(F, R) or R == la.mat_scale(
-        F, F.neg(weight), la.identity_matrix(F, n))
+        F, F.neg(weight), la.identity_matrix(F, len(R)))
 
 
 # ------------------------------------------------------- residual system
@@ -176,10 +173,6 @@ def _rb_stream(A: Algebra, R: Matrix,
         s = F.add(s, F.mul(alpha(m), v(m, a)))
     s = F.sub(s, la.dot(F, hyp(a), hyp(a)))
     yield "nn_s", s
-
-
-def rb_residual_report(A: Algebra, R: Matrix, weight: Scalar) -> CheckReport:
-    return residual_report(A.field, rb_residuals(A, R, weight))
 
 
 # --------------------------------------------- splitting from decompositions
@@ -448,15 +441,11 @@ def enumerate_decompositions(A: Algebra, cap: int = 10 ** 6) -> list[dict]:
     if len(subs) ** 2 > cap:
         raise CapError(f"{len(subs) ** 2} subspace pairs exceed cap {cap}")
     apex = la.basis_vector(F, n, n - 1)
-    sub_ok = {i: bool(is_subalgebra(A, W)) for i, W in enumerate(subs)}
+    parts = [W for W in subs if is_subalgebra(A, W)]
     out = []
-    for i, W1 in enumerate(subs):
-        if not sub_ok[i]:
-            continue
-        for j, W2 in enumerate(subs):
-            if not sub_ok[j] or W1.dim + W2.dim != n:
-                continue
-            if not la.is_direct_sum(W1, W2, n):
+    for W1 in parts:
+        for W2 in parts:
+            if W1.dim + W2.dim != n or not la.is_direct_sum(W1, W2, n):
                 continue
             coord = (_meets_apex_coordinate(F, W1),
                      _meets_apex_coordinate(F, W2))

@@ -26,12 +26,11 @@ from .errors import DimensionError
 from .fields import Field, Scalar
 from .linalg import Matrix, Subspace
 from .parallel import check_scan, scan_matrices
-from .reports import CheckReport, residual_report
+from .reports import CheckReport
 
 __all__ = [
-    "automorphism_orthogonal_correspondence", "automorphism_residual_report",
-    "automorphism_residuals", "derivation_algebra", "derivation_matrices",
-    "derivation_residual_report", "derivation_residuals",
+    "automorphism_orthogonal_correspondence", "automorphism_residuals",
+    "derivation_algebra", "derivation_matrices", "derivation_residuals",
     "derivation_skew_correspondence", "embed_orthogonal", "embed_skew",
     "enumerate_automorphisms", "enumerate_orthogonal", "is_automorphism",
     "is_derivation",
@@ -229,14 +228,6 @@ def _derivation_stream(A: Algebra,
     yield "nn_s", F.mul(two, gamma(a))
 
 
-def automorphism_residual_report(A: Algebra, phi: Matrix) -> CheckReport:
-    return residual_report(A.field, automorphism_residuals(A, phi))
-
-
-def derivation_residual_report(A: Algebra, d: Matrix) -> CheckReport:
-    return residual_report(A.field, derivation_residuals(A, d))
-
-
 # ------------------------------------------------ block embeddings, oracles
 
 def embed_orthogonal(F: Field, Q: Matrix, dim: int) -> Matrix:
@@ -302,8 +293,13 @@ def _product_equations(A: Algebra) -> list[dict]:
     """phi(b_i) phi(b_j) = phi(b_i b_j) as scalar equations in the entries
     of phi, one for each basis pair and coordinate, built from the
     structure constants."""
-    return _operator_equations(A, lambda i, j: [
-        [(c, None)] for c in A.basis_product(i, j)])
+    def inner(i, j):
+        v = [[] for _ in range(A.dim)]
+        for k, c in A.basis_terms(i, j):
+            v[k].append((c, None))
+        return v
+
+    return _operator_equations(A, inner)
 
 
 # -------------------------------------------------- classification checks

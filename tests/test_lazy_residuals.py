@@ -3,7 +3,7 @@
 `rb_residuals`, `automorphism_residuals` and `derivation_residuals`
 validate their input when called and compute each (name, scalar) pair only
 when the stream reaches it.  `residuals_vanish` stops at the first nonzero
-residual; `residual_report` consumes the whole stream and stays the full
+residual; `full_verdict` consumes the whole stream and stays the full
 oracle, so the two verdicts must agree on every input, genuine or not.
 """
 
@@ -19,7 +19,6 @@ from prelie.algebras import (apex_algebra, unital_extension,
                              upper_triangular_algebra)
 from prelie.errors import DimensionError
 from prelie.fields import make_field
-from prelie.reports import residual_report
 from prelie.rota_baxter import (_rb_equations, enumerate_rb_operators,
                                 isotropic_column_operator,
                                 isotropic_line_decomposition, rb_residuals,
@@ -29,6 +28,7 @@ from prelie.symmetry import (_leibniz_rows, _product_equations,
                              automorphism_residuals, derivation_matrices,
                              derivation_residuals, enumerate_automorphisms)
 
+from helpers import residuals_vanish
 from test_sparse_kernels import CountingField
 
 FIELDS = {spec: make_field(spec) for spec in ("gf3", "gf5", "q", "qi")}
@@ -36,10 +36,11 @@ APEX = {(spec, n): apex_algebra(F, n)
         for spec, F in FIELDS.items() for n in range(2, 6)}
 
 
-def residuals_vanish(F, residuals) -> bool:
-    """The verdict of `residual_report` alone: stops at the first nonzero
-    scalar, so a lazy residual stream is evaluated no further."""
-    return all(F.is_zero(v) for _, v in residuals)
+def full_verdict(F, residuals) -> bool:
+    """The verdict of `residuals_vanish` with every scalar of the stream
+    computed before any is tested."""
+    values = [v for _, v in residuals]
+    return all(F.is_zero(v) for v in values)
 
 
 def _streams(A, M, w):
@@ -50,12 +51,12 @@ def _streams(A, M, w):
 
 
 def _verdicts(A, M, w):
-    """The lazy verdict of each system, asserted equal to its full report."""
+    """The lazy verdict of each system, asserted equal to its full one."""
     F = A.field
     out = {}
     for kind, stream in _streams(A, M, w).items():
         lazy = residuals_vanish(F, stream())
-        assert lazy == residual_report(F, stream()).ok, kind
+        assert lazy == full_verdict(F, stream()), kind
         out[kind] = lazy
     return out
 
@@ -77,7 +78,7 @@ def test_builders_raise_at_call_time(kind):
             _streams(B, M, F.one)[kind]()
 
 
-# ------------------------------------------------ lazy verdict vs report
+# ------------------------------------------------- lazy vs full verdict
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(sorted(FIELDS)), st.integers(2, 5),
@@ -163,7 +164,7 @@ def test_streams_yield_n_cubed_names_in_order(kind):
 # ------------------------------------------------------------- laziness
 
 def _counted(kind, n):
-    """F.mul calls of the lazy verdict and of the full report, on a matrix
+    """F.mul calls of the lazy verdict and of the full one, on a matrix
     whose first residual is nonzero."""
     C = CountingField(FIELDS["q"])
     A = apex_algebra(C, n)
@@ -174,7 +175,7 @@ def _counted(kind, n):
     assert not residuals_vanish(C, stream())
     lazy = C.muls
     C.muls = 0
-    assert not residual_report(C, stream()).ok
+    assert not full_verdict(C, stream())
     return lazy, C.muls
 
 

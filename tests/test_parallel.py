@@ -4,9 +4,10 @@ The differential tests hold every scan to a filter over the plain
 enumeration, so a scan that drops a matrix fails as surely as one that
 admits a wrong one.  Beyond the reach of that filter, automorphism and
 orthogonal-block counts are held to the closed-form order of the
-orthogonal group.  The equations the scans solve are held to their slow
-expansion by `Algebra.product` over the polynomial field, on random
-tables.
+orthogonal group.  The equations the scans solve, the weight-free
+operator system and the Leibniz rows of `derivation_algebra` are held to
+their slow expansion by `Algebra.product` over the polynomial field, on
+random tables.
 """
 
 import multiprocessing
@@ -30,12 +31,13 @@ from prelie.linalg import (add_multiple, combine, enumerate_matrices,
                            mat_scale, zero_matrix)
 from prelie.polyring import PolynomialField
 from prelie.rota_baxter import (_rb_equations, enumerate_rb_operators,
-                                is_rb_operator, rb_residual_report,
+                                is_rb_operator, rb_residuals,
                                 reflect_operator)
-from prelie.symmetry import (_product_equations,
-                             automorphism_residual_report,
-                             enumerate_automorphisms, enumerate_orthogonal,
-                             is_automorphism)
+from prelie.symmetry import (_leibniz_rows, _product_equations,
+                             automorphism_residuals, enumerate_automorphisms,
+                             enumerate_orthogonal, is_automorphism)
+
+from helpers import residuals_vanish
 
 GF5 = make_field("gf5")
 
@@ -61,7 +63,7 @@ def test_operator_scan_matches_residual_filter(spec, n, w):
     F = make_field(spec)
     A = apex_algebra(F, n)
     expected = [M for M in enumerate_matrices(F, n, n)
-                if rb_residual_report(A, M, w).ok]
+                if residuals_vanish(F, rb_residuals(A, M, w))]
     assert enumerate_rb_operators(A, w) == expected
 
 
@@ -70,7 +72,7 @@ def test_automorphism_scan_matches_residual_filter(spec, n):
     F = make_field(spec)
     A = apex_algebra(F, n)
     expected = [M for M in enumerate_matrices(F, n, n)
-                if automorphism_residual_report(A, M).ok
+                if residuals_vanish(F, automorphism_residuals(A, M))
                 and is_invertible(F, M)]
     assert enumerate_automorphisms(A) == expected
 
@@ -113,7 +115,7 @@ def test_operator_scan_matches_residual_filter_on_wider_cases(spec, n, w):
     A = apex_algebra(F, n)
     w = F.parse(w)
     expected = [M for M in enumerate_matrices(F, n, n)
-                if rb_residual_report(A, M, w).ok]
+                if residuals_vanish(F, rb_residuals(A, M, w))]
     assert enumerate_rb_operators(A, w) == expected
 
 
@@ -141,21 +143,29 @@ def test_scans_match_the_checkers_on_random_tables(case):
 
 # ------------------------------ equations against the generic expansion
 
-def generic_equations(A, inner):
-    """The identity M(b_i) M(b_j) = M(v_ij) expanded the slow way: the
-    structure constants lifted to the polynomial field, the columns of a
-    generic matrix as its vectors, both sides by `Algebra.product`, and
-    the coordinates of lhs - M(v_ij), with `inner(B, cols, units, i, j)`
-    giving v_ij as a sparse vector."""
+def lifted(A):
+    """A with its structure constants lifted to the polynomial field, the
+    columns of a generic matrix (entry (k, m) is variable k * dim + m) and
+    the basis vectors, as sparse vectors over that field."""
     n = A.dim
     P = PolynomialField(A.field)
     B = Algebra(P, n, {key: P.const(c) for key, c in A.table.items()})
     cols = [{k: P.gen(k * n + m) for k in range(n)} for m in range(n)]
     units = [{i: P.one} for i in range(n)]
+    return B, cols, units
+
+
+def generic_equations(A, inner):
+    """The identity M(b_i) M(b_j) = M(v_ij) expanded the slow way: both
+    sides by `Algebra.product` on the lifted table and the columns of a
+    generic matrix, and the coordinates of lhs - M(v_ij), with
+    `inner(B, cols, units, i, j)` giving v_ij as a sparse vector."""
+    B, cols, units = lifted(A)
+    P = B.field
     minus_one = P.neg(P.one)
     out = []
-    for i in range(n):
-        for j in range(n):
+    for i in range(A.dim):
+        for j in range(A.dim):
             defect = B.product(cols[i], cols[j])
             image = combine(P, inner(B, cols, units, i, j).items(), cols)
             add_multiple(P, defect, minus_one, image)
@@ -164,10 +174,12 @@ def generic_equations(A, inner):
 
 
 def generic_rb_equations(A, w):
-    """R(b_i) R(b_j) - R((R + wE)(b_i) b_j + b_i R(b_j))."""
+    """R(b_i) R(b_j) - R((R + wE)(b_i) b_j + b_i R(b_j)); a weight of None
+    is the variable dim^2, as in `_rb_equations`."""
     def inner(B, cols, units, i, j):
         P = B.field
-        shifted = {k: P.add(c, P.const(w)) if k == i else c
+        weight = P.gen(A.dim ** 2) if w is None else P.const(w)
+        shifted = {k: P.add(c, weight) if k == i else c
                    for k, c in cols[i].items()}
         return B.product(units[i], cols[j], B.product(shifted, units[j]))
 
@@ -178,6 +190,23 @@ def generic_product_equations(A):
     """phi(b_i) phi(b_j) - phi(b_i b_j)."""
     return generic_equations(A, lambda B, cols, units, i, j:
                              B.product(units[i], units[j]))
+
+
+def generic_leibniz_rows(A):
+    """d(b_i b_j) - d(b_i) b_j - b_i d(b_j), expanded as in
+    `generic_equations`: each coordinate a polynomial of degree one in the
+    entries of d."""
+    B, cols, units = lifted(A)
+    P = B.field
+    minus_one = P.neg(P.one)
+    out = []
+    for i in range(A.dim):
+        for j in range(A.dim):
+            defect = combine(P, B.basis_terms(i, j), cols)
+            add_multiple(P, defect, minus_one, B.product(
+                units[i], cols[j], B.product(cols[i], units[j])))
+            out.extend(defect.values())
+    return out
 
 
 def as_multiset(F, equations):
@@ -219,6 +248,10 @@ def test_equations_match_the_generic_expansion(case):
         as_multiset(F, generic_rb_equations(A, w))
     assert as_multiset(F, _product_equations(A)) == \
         as_multiset(F, generic_product_equations(A))
+    assert as_multiset(F, _rb_equations(A, None)) == \
+        as_multiset(F, generic_rb_equations(A, None))
+    leibniz = [{(u,): c for u, c in row.items()} for row in _leibniz_rows(A)]
+    assert as_multiset(F, leibniz) == as_multiset(F, generic_leibniz_rows(A))
 
 
 def test_worker_count_does_not_change_the_scans():
@@ -598,7 +631,7 @@ def test_the_field_tables_count_against_the_cap():
     for w in (F.zero, F.one):
         assert enumerate_rb_operators(A, w, cap=10 ** 5) == [
             M for M in enumerate_matrices(F, 1, 1)
-            if rb_residual_report(A, M, w).ok]
+            if residuals_vanish(F, rb_residuals(A, M, w))]
 
 
 def test_operator_set_gf5_n3_weight1():
@@ -606,7 +639,7 @@ def test_operator_set_gf5_n3_weight1():
     w = GF5.one
     ops = enumerate_rb_operators(A, w)
     assert len(ops) == 62
-    assert all(rb_residual_report(A, R, w).ok for R in ops)
+    assert all(residuals_vanish(GF5, rb_residuals(A, R, w)) for R in ops)
     opset = set(ops)
     assert zero_matrix(GF5, 3, 3) in opset
     assert mat_scale(GF5, GF5.neg(w), identity_matrix(GF5, 3)) in opset
