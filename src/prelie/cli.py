@@ -50,7 +50,7 @@ def _format_subspace(W) -> dict:
 
 def _emit(args, payload: dict) -> None:
     text = json.dumps(payload, indent=2)
-    if getattr(args, "out", None):
+    if args.out:
         try:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")
@@ -69,30 +69,26 @@ def _load_json(path: str):
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _field_from_args(args, allow_char2: bool = False) -> Field:
-    if not getattr(args, "field", None):
-        raise UsageError("--field is required when no algebra file is given")
-    return make_field(args.field, allow_char2=allow_char2)
-
-
 def _build_algebra(args, allow_char2: bool = False) -> Algebra:
     """Assemble the algebra a command operates on: --algebra file wins,
     otherwise the family flags are used (--family defaults to "in")."""
-    if getattr(args, "algebra", None):
+    if args.algebra:
         data = _load_json(args.algebra)
         try:
             return Algebra.from_json(data)
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"bad algebra JSON: {exc}") from exc
-    family = getattr(args, "family", None) or "in"
-    F = _field_from_args(args, allow_char2=allow_char2)
+    family = args.family or "in"
+    if not args.field:
+        raise UsageError("--field is required when no algebra file is given")
+    F = make_field(args.field, allow_char2=allow_char2)
     if family == "ex1":
-        if not getattr(args, "marked", None):
+        if not args.marked:
             raise UsageError("--marked is required for family ex1 "
                              "(comma-separated scalar literals)")
         marked = tuple(F.parse(t.strip()) for t in args.marked.split(","))
         return dot_product_algebra(F, marked)
-    n = getattr(args, "n", None)
+    n = args.n
     if n is None:
         raise UsageError("--n is required when no algebra file is given")
     if family == "in":
@@ -132,9 +128,12 @@ def cmd_check_identity(args) -> int:
     A = _build_algebra(args)
     rep = check_identity(A, args.kind, exhaustive=args.exhaustive,
                          cap=args.cap)
-    payload = {"kind": args.kind, "holds": rep.ok,
-               "method": rep.details.get("method", "basis"),
-               "witness": _json_safe(A.field, rep.witness)}
+    method = rep.details.get("method", "basis")
+    witness = rep.witness
+    if method == "exhaustive" and witness is not None:
+        witness = _format_matrix(A.field, witness)  # a tuple of vectors
+    payload = {"kind": args.kind, "holds": rep.ok, "method": method,
+               "witness": witness}
     _emit(args, payload)
     return 0
 
@@ -200,7 +199,7 @@ def cmd_rb_verify(args) -> int:
     elif is_apex_algebra(A):
         if F.char != 2:
             case = classify_case(A, R, w)  # FalsificationError -> exit 1
-            payload["case"] = _json_safe(F, case.details)
+            payload["case"] = case.details
         iso = square_isotropy_check(A, R, w, verify=False)
         payload["theorem2"] = {
             "r2_plus_lr_zero": iso.details["r2_plus_lr_zero"],
@@ -212,7 +211,7 @@ def cmd_rb_verify(args) -> int:
                 "operator violates the quadratic/isotropy facts", witness=R)
         if not F.is_zero(w):
             cert = splitting_certificate(A, R, w)
-            payload["certificate"] = _json_safe(F, cert.details)
+            payload["certificate"] = cert.details
             if not cert.ok:
                 raise FalsificationError(
                     "operator is not reproduced by its kernel splitting",
@@ -281,27 +280,6 @@ def cmd_verify_theorems(args) -> int:
     report = run_suite(args.suite, config)
     _emit(args, report)
     return 0 if report["ok"] else FALSIFIED
-
-
-def _json_safe(F: Field, value):
-    """Recursively format scalars/matrices living in check details."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, dict):
-        return {k: _json_safe(F, v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        if value and all(isinstance(r, tuple) for r in value):
-            try:
-                return _format_matrix(F, value)
-            except (FieldError, TypeError):
-                pass
-        return [_json_safe(F, v) for v in value]
-    if isinstance(value, la.Subspace):
-        return _format_subspace(value)
-    try:
-        return F.format(value)
-    except (FieldError, TypeError):
-        return repr(value)
 
 
 # ------------------------------------------------------------------- parser
@@ -403,10 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-theorems", help="run a named check suite")
     p.add_argument("--suite", required=True, choices=SUITES)
-    p.add_argument("--fields", default="q,qi,gf3,gf5",
+    defaults = RunConfig()
+    p.add_argument("--fields", default=",".join(defaults.fields),
                    help="comma-separated field specs")
-    p.add_argument("--max-n", type=_at_least(2), default=4, dest="max_n")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-n", type=_at_least(2), default=defaults.max_n,
+                   dest="max_n")
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--out", help="also write the report to this file")
     p.set_defaults(fn=cmd_verify_theorems)
 

@@ -33,13 +33,13 @@ Vector = tuple
 Matrix = tuple
 
 __all__ = [
-    "Subspace", "add_multiple", "basis_vector", "check_cap", "column_space",
-    "combine", "decode_matrix", "dense", "dot", "enumerate_matrices",
-    "enumerate_projective", "enumerate_subspaces", "gram_matrix",
-    "identity_matrix", "intersect", "is_direct_sum", "is_invertible",
-    "is_lagrangian", "is_orthogonal", "is_skew_symmetric", "is_zero_matrix",
-    "is_zero_vector", "kernel", "keyed_spans", "mat_add", "mat_mul",
-    "mat_scale", "mat_vec", "matrix_from_json", "matrix_sort_key",
+    "Subspace", "add_multiple", "basis_vector", "check_cap", "check_count",
+    "column_space", "combine", "decode_matrix", "dense", "dot",
+    "enumerate_matrices", "enumerate_projective", "enumerate_subspaces",
+    "gram_matrix", "identity_matrix", "intersect", "is_direct_sum",
+    "is_invertible", "is_lagrangian", "is_orthogonal", "is_skew_symmetric",
+    "is_zero_matrix", "is_zero_vector", "kernel", "keyed_spans", "mat_add",
+    "mat_mul", "mat_scale", "mat_vec", "matrix_from_json", "matrix_sort_key",
     "random_matrix", "random_vector", "reduce_row", "reduce_rows", "rref",
     "sparse", "sparse_kernel", "span", "subspace_sum", "trace", "transpose",
     "vadd", "vneg", "vscale", "vsub", "zero_matrix", "zero_vector",
@@ -435,7 +435,12 @@ def check_cap(F: Field, k: int, kind: str, cap: int) -> None:
     when q^k exceeds `cap`.  The error names the count and the kind."""
     if not F.is_finite:
         raise CapError(f"enumerating {kind} requires a finite field")
-    count = F.order ** k
+    check_count(F.order ** k, kind, cap)
+
+
+def check_count(count: int, kind: str, cap: int) -> None:
+    """The comparison of `check_cap` for a count already known: refuse,
+    with CapError, `count` objects of `kind` past `cap`."""
     if count > cap:
         raise CapError(f"{count} {kind} exceed cap {cap}")
 

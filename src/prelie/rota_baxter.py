@@ -28,7 +28,7 @@ from collections.abc import Iterator
 from . import linalg as la
 from .algebras import (Algebra, _check_apex, _check_shape,
                        _leibniz_form, _operator_equations, is_subalgebra)
-from .errors import CapError, DimensionError, FalsificationError
+from .errors import DimensionError, FalsificationError
 from .fields import Field, FieldError, Scalar
 from .linalg import Matrix, Subspace
 from .parallel import check_scan, scan_matrices
@@ -91,15 +91,17 @@ def reflect_operator(F: Field, R: Matrix, weight: Scalar) -> Matrix:
 
 
 def is_splitting(F: Field, R: Matrix, weight: Scalar) -> bool:
-    """Quadratic characterization: R^2 + wR = 0."""
-    q = la.mat_add(F, la.mat_mul(F, R, R), la.mat_scale(F, weight, R))
-    return la.is_zero_matrix(F, q)
+    """Quadratic characterization: R^2 + wR = -R B = 0, with B the
+    reflection -R - w id."""
+    return la.is_zero_matrix(
+        F, la.mat_mul(F, R, reflect_operator(F, R, weight)))
 
 
 def is_trivial_operator(F: Field, R: Matrix, weight: Scalar) -> bool:
-    """R = 0 or R = -w id, the operators present for every algebra."""
-    return la.is_zero_matrix(F, R) or R == la.mat_scale(
-        F, F.neg(weight), la.identity_matrix(F, len(R)))
+    """R = 0 or R = -w id (its reflection is 0), the operators present for
+    every algebra."""
+    return (la.is_zero_matrix(F, R)
+            or la.is_zero_matrix(F, reflect_operator(F, R, weight)))
 
 
 # ------------------------------------------------------- residual system
@@ -222,14 +224,14 @@ def _projection(A: Algebra, part1: Subspace, part2: Subspace,
 def splitting_certificate(A: Algebra, R: Matrix,
                           weight: Scalar) -> CheckReport:
     """For nonzero weight: ker(R) and ker(R + wE) are subalgebras in direct
-    sum, and the projection construction on them reproduces R exactly."""
+    sum, and the projection construction on them reproduces R exactly.
+    ker(R + wE) is taken as the kernel of the reflection -R - wE."""
     F = A.field
     if F.is_zero(weight):
         raise ValueError("the kernel decomposition needs a nonzero weight")
     _check_shape(A, R)
     k1 = la.kernel(F, R)
-    k2 = la.kernel(F, la.mat_add(F, R, la.mat_scale(
-        F, weight, la.identity_matrix(F, A.dim))))
+    k2 = la.kernel(F, reflect_operator(F, R, weight))
     sub1, sub2 = is_subalgebra(A, k1), is_subalgebra(A, k2)
     direct = la.is_direct_sum(k1, k2, A.dim)
     details = {"kernel_dim": k1.dim, "shifted_kernel_dim": k2.dim,
@@ -264,7 +266,8 @@ def classify_case(A: Algebra, R: Matrix, weight: Scalar) -> CheckReport:
     n = A.dim
     a = n - 1
     w = weight
-    _assert_quadratic(F, R, w)
+    if not is_splitting(F, R, w):
+        raise FalsificationError("operator violates R^2 + wR = 0", witness=R)
     if is_trivial_operator(F, R, w):
         variant = "zero" if la.is_zero_matrix(F, R) else "minus_weight"
         return CheckReport(True, details={"case": "trivial",
@@ -299,9 +302,7 @@ def classify_case(A: Algebra, R: Matrix, weight: Scalar) -> CheckReport:
             "case 2 apex coefficient outside {0, -w}",
             witness=(R, F.format(alpha_a)))
     block = tuple(row[:a] for row in R[:a])
-    bq = la.mat_add(F, la.mat_mul(F, block, block),
-                    la.mat_scale(F, w, block))
-    if not la.is_zero_matrix(F, bq):
+    if not is_splitting(F, block, w):
         raise FalsificationError("case 2 hyperplane block violates "
                                  "B^2 + wB = 0", witness=block)
     return CheckReport(True, details={
@@ -310,11 +311,6 @@ def classify_case(A: Algebra, R: Matrix, weight: Scalar) -> CheckReport:
         "phi_normalized": alpha_a == F.neg(w) and not F.is_zero(w),
         "block_quadratic": True,
     })
-
-
-def _assert_quadratic(F: Field, R: Matrix, weight: Scalar) -> None:
-    if not is_splitting(F, R, weight):
-        raise FalsificationError("operator violates R^2 + wR = 0", witness=R)
 
 
 def square_isotropy_check(A: Algebra, R: Matrix, weight: Scalar,
@@ -390,20 +386,23 @@ def rb_index(A: Algebra, weight: Scalar,
 
     Kernel chains stabilize within dim steps, so any operator admitting
     such a vanishing at all admits one with m <= 2 dim <= dim^2 + 1; the
-    scan bound dim^2 is therefore only a formality for dim >= 2.
+    scan bound dim^2 is therefore only a formality for dim >= 2.  The
+    powers of R + wE are taken as those of the reflection B = -R - wE:
+    R^k B^(m-k) = +-R^k (R + wE)^(m-k).
     """
     F = A.field
     n = A.dim
-    shift = lambda R: la.mat_add(F, R, la.mat_scale(
-        F, weight, la.identity_matrix(F, n)))
     bound = max(n * n, 1)
     worst = 0
     for R in operators:
         rp = _powers(F, R)
-        sp = _powers(F, shift(R))
+        bp = _powers(F, reflect_operator(F, R, weight))
+        # R^k B^(m-k), with the power E = R^0 = B^0 never built
+        mixed = lambda m, k: (bp(m) if k == 0 else rp(m) if k == m
+                              else la.mat_mul(F, rp(k), bp(m - k)))
         m_r = next((m for m in range(1, bound + 1)
                     for k in range(m + 1)
-                    if la.is_zero_matrix(F, la.mat_mul(F, rp(k), sp(m - k)))),
+                    if la.is_zero_matrix(F, mixed(m, k))),
                    None)
         if m_r is None:
             return None
@@ -412,13 +411,13 @@ def rb_index(A: Algebra, weight: Scalar,
 
 
 def _powers(F: Field, M: Matrix):
-    """k -> M^k, each power computed on first use and kept."""
-    out = [la.identity_matrix(F, len(M))]
+    """k -> M^k for k >= 1, each power computed on first use and kept."""
+    out = [M]
 
     def power(k: int) -> Matrix:
-        while len(out) <= k:
+        while len(out) < k:
             out.append(la.mat_mul(F, out[-1], M))
-        return out[k]
+        return out[k - 1]
     return power
 
 
@@ -438,8 +437,7 @@ def enumerate_decompositions(A: Algebra, cap: int = 10 ** 6) -> list[dict]:
     F = A.field
     n = A.dim
     subs = list(la.enumerate_subspaces(F, n, cap=cap))
-    if len(subs) ** 2 > cap:
-        raise CapError(f"{len(subs) ** 2} subspace pairs exceed cap {cap}")
+    la.check_count(len(subs) ** 2, "subspace pairs", cap)
     apex = la.basis_vector(F, n, n - 1)
     parts = [W for W in subs if is_subalgebra(A, W)]
     out = []

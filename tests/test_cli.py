@@ -114,14 +114,16 @@ def test_check_identity_symbolic_failure_has_witness(capsys):
     assert rep["witness"]["coordinate"] == 1
 
 
-def test_check_identity_exhaustive_flexible(capsys):
+@pytest.mark.parametrize("field, unit", [("gf3", "1"), ("gf9", "0+1*r")],
+                         ids=["gf3", "gf9"])
+def test_check_identity_exhaustive_flexible(capsys, field, unit):
     code, rep = run_json(capsys, "check-identity", "--family", "in", "--n",
-                         "2", "--field", "gf3", "--kind", "flexible",
+                         "2", "--field", field, "--kind", "flexible",
                          "--exhaustive")
     assert code == 0
     assert rep["holds"] is False
     assert rep["method"] == "exhaustive"
-    assert rep["witness"] == [["1", "0"], ["0", "1"]]
+    assert rep["witness"] == [[unit, "0"], ["0", unit]]
 
 
 def test_check_identity_accepts_every_library_kind_and_no_other(capsys):

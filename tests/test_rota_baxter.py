@@ -5,6 +5,7 @@ finite fields and from hand-checked constructions; the tests then hold the
 library to those values.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -15,9 +16,10 @@ from prelie.errors import CapError, DimensionError, FalsificationError
 from prelie.fields import (FieldError, PrimeField, QuadraticField,
                            RationalField, make_field)
 from prelie.linalg import (basis_vector, column_space, identity_matrix,
-                           is_invertible, is_lagrangian, kernel, mat_add,
-                           mat_mul, mat_scale, matrix_sort_key, random_matrix,
-                           span, transpose, vadd, vscale, zero_vector)
+                           is_invertible, is_lagrangian, is_zero_matrix,
+                           kernel, mat_add, mat_mul, mat_scale,
+                           matrix_sort_key, random_matrix, span, transpose,
+                           vadd, vscale, zero_vector)
 from prelie.rota_baxter import (_projection, classify_case,
                                 enumerate_decompositions,
                                 enumerate_rb_operators, is_rb_operator,
@@ -37,6 +39,7 @@ Q = RationalField()
 GF3 = PrimeField(3)
 GF5 = PrimeField(5)
 QI = QuadraticField(Q, Fraction(-1))
+GF9 = make_field("gf9")
 
 I2_3 = apex_algebra(GF3, 2)
 I2_5 = apex_algebra(GF5, 2)
@@ -396,6 +399,165 @@ def test_rb_index_infinity_marker():
     # invertible one never satisfies any mixed-power vanishing
     Z = Algebra(GF3, 1, {})
     assert _index(Z, GF3.one) is None
+
+
+# ------------------------------- reflection forms against the dense oracles
+#
+# The checkers read R^2 + wR, R = -wE, ker(R + wE) and the powers of R + wE
+# off the reflection B = -R - wE.  The oracles below build the same facts
+# densely from the identity matrix, as the checkers once did.
+
+REFLECTION_FIELDS = [GF3, GF9, Q, QI]
+
+
+def dense_shift(F, R, w):
+    """R + wE."""
+    return mat_add(F, R, mat_scale(F, w, identity_matrix(F, len(R))))
+
+
+def ref_is_splitting(F, R, w):
+    return is_zero_matrix(F, mat_add(F, mat_mul(F, R, R), mat_scale(F, w, R)))
+
+
+def ref_is_trivial(F, R, w):
+    return is_zero_matrix(F, R) or R == mat_scale(
+        F, F.neg(w), identity_matrix(F, len(R)))
+
+
+def ref_rb_index(F, n, w, operators):
+    """rb_index from every power of R and of R + wE, E = R^0 included."""
+    bound = max(n * n, 1)
+
+    def powers(M):
+        out = [identity_matrix(F, n)]
+        for _ in range(bound):
+            out.append(mat_mul(F, out[-1], M))
+        return out
+
+    worst = 0
+    for R in operators:
+        rp, sp = powers(R), powers(dense_shift(F, R, w))
+        m_r = next((m for m in range(1, bound + 1) for k in range(m + 1)
+                    if is_zero_matrix(F, mat_mul(F, rp[k], sp[m - k]))),
+                   None)
+        if m_r is None:
+            return None
+        worst = max(worst, m_r)
+    return worst
+
+
+def nilpotent(F, n, rng):
+    """A random strictly upper triangular matrix."""
+    return tuple(tuple(F.random(rng) if j > i else F.zero for j in range(n))
+                 for i in range(n))
+
+
+def reflection_samples(F, n, w, rng):
+    """Random matrices, nilpotent N and -wE + N, and matrices with
+    R^2 + wR = 0: the projections -w P of random direct sums (0 and -wE
+    among them) and the operators of the apex algebra's splittings, with
+    the complete operator sets where a scan is cheap."""
+    A = apex_algebra(F, n)
+    minus_w = mat_scale(F, F.neg(w), identity_matrix(F, n))
+    out = [random_matrix(F, n, n, rng), random_matrix(F, n, n, rng),
+           nilpotent(F, n, rng), mat_add(F, minus_w, nilpotent(F, n, rng))]
+    out += [_projection(A, p1, p2, w)
+            for p1, p2 in random_direct_sums(F, n, rng)]
+    out += [splitting_operator(A, p1, p2, w)
+            for p1, p2 in subalgebra_splittings(F, n)]
+    if F.is_finite and F.order ** (n * n) <= 10 ** 4:
+        out += enumerate_rb_operators(A, w)
+    return out
+
+
+def sample_weights(F, rng):
+    return [F.zero, F.one, F.random(rng)]
+
+
+@pytest.mark.parametrize("F", REFLECTION_FIELDS, ids=repr)
+@pytest.mark.parametrize("n", range(1, 6))
+def test_reflection_forms_match_the_dense_oracles(F, n):
+    rng = random.Random(n)
+    verdicts = set()
+    for w in sample_weights(F, rng):
+        for R in reflection_samples(F, n, w, rng):
+            split = is_splitting(F, R, w)
+            assert split == ref_is_splitting(F, R, w)
+            assert is_trivial_operator(F, R, w) == ref_is_trivial(F, R, w)
+            assert kernel(F, reflect_operator(F, R, w)) == \
+                kernel(F, dense_shift(F, R, w))
+            verdicts.add(split)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("F", REFLECTION_FIELDS, ids=repr)
+@pytest.mark.parametrize("n", range(1, 6))
+def test_rb_index_matches_the_dense_oracle(F, n):
+    rng = random.Random(n)
+    A = apex_algebra(F, n)
+    indices = []
+    for w in sample_weights(F, rng):
+        minus_w = mat_scale(F, F.neg(w), identity_matrix(F, n))
+        # N needs k = m, -wE + N needs k = 0 once w is nonzero
+        pool = [nilpotent(F, n, rng),
+                mat_add(F, minus_w, nilpotent(F, n, rng))]
+        pool += [_projection(A, p1, p2, w)
+                 for p1, p2 in random_direct_sums(F, n, rng)]
+        for _ in range(3):
+            ops = rng.sample(pool, 3)
+            indices.append(rb_index(A, w, ops))
+            assert indices[-1] == ref_rb_index(F, n, w, ops)
+        if n <= 3:
+            # most likely no vanishing: every power up to n^2 is compared
+            ops = [pool[0], random_matrix(F, n, n, rng)]
+            indices.append(rb_index(A, w, ops))
+            assert indices[-1] == ref_rb_index(F, n, w, ops)
+    assert n == 1 or any(m is not None and m > 1 for m in indices)
+    assert n > 3 or None in indices
+
+
+# ----------------------------------------------------- JSON-native details
+
+def case1_operators(F, w):
+    """[R] with R = S - (w/2)E on the 2-dimensional apex algebra, S the skew
+    matrix of square (w^2/4)E through i = sqrt(-1); [] without i."""
+    i = F.sqrt(F.neg(F.one))
+    if i is None:
+        return []
+    h = F.half(w)
+    s = F.mul(i, h)
+    return [((F.neg(h), s), (F.neg(s), F.neg(h)))]
+
+
+@pytest.mark.parametrize("F", [Q, QI, GF9, PrimeField(13)], ids=repr)
+def test_case_and_certificate_details_are_json_native(F):
+    # the CLI emits these details as they are, and json.dumps raises
+    # TypeError on a scalar left in them; scalars must come formatted, also
+    # where the field's scalars are ints or tuples that json.dumps would take
+    def native(value):
+        return isinstance(value, (str, int)) or (
+            isinstance(value, tuple)
+            and all(isinstance(v, bool) for v in value))
+
+    seen = set()
+    for n in (2, 3, 4):
+        A = apex_algebra(F, n)
+        for w in (F.one, F.from_int(2)):
+            ops = [splitting_operator(A, p1, p2, w)
+                   for p1, p2 in subalgebra_splittings(F, n)]
+            if n == 2:
+                ops += case1_operators(F, w)
+            for R in ops:
+                assert is_rb_operator(A, R, w)
+                details = classify_case(A, R, w).details
+                cert = splitting_certificate(A, R, w).details
+                json.dumps([details, cert])
+                assert all(map(native, [*details.values(), *cert.values()]))
+                for key in ("apex_coefficient", "shift_square_scalar"):
+                    assert isinstance(details.get(key, ""), str)
+                seen.add(details["case"])
+    assert seen == ({"trivial"} if F.kind == "rational"
+                    else {"trivial", 1, 2})
 
 
 # ----------------------------------------------------------- decompositions
