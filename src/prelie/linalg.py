@@ -38,8 +38,8 @@ __all__ = [
     "enumerate_matrices", "enumerate_projective", "enumerate_subspaces",
     "gram_matrix", "identity_matrix", "intersect", "is_direct_sum",
     "is_invertible", "is_lagrangian", "is_orthogonal", "is_skew_symmetric",
-    "is_zero_matrix", "is_zero_vector", "kernel", "keyed_spans", "mat_add",
-    "mat_mul", "mat_scale", "mat_vec", "matrix_from_json", "matrix_sort_key",
+    "is_zero_matrix", "is_zero_vector", "kernel", "keyed_spans", "mat_mul",
+    "mat_scale", "mat_vec", "matrix_from_json", "matrix_sort_key",
     "random_matrix", "random_vector", "reduce_row", "reduce_rows", "rref",
     "sparse", "sparse_kernel", "span", "subspace_sum", "trace", "transpose",
     "vadd", "vneg", "vscale", "vsub", "zero_matrix", "zero_vector",
@@ -163,9 +163,6 @@ def mat_mul(F: Field, A: Matrix, B: Matrix) -> Matrix:
                 acc[j] = p if s is None else add(s, p)
         out.append(tuple(F.zero if s is None else s for s in acc))
     return tuple(out)
-
-def mat_add(F: Field, A: Matrix, B: Matrix) -> Matrix:
-    return tuple(vadd(F, r, s) for r, s in zip(A, B))
 
 def mat_scale(F: Field, c: Scalar, A: Matrix) -> Matrix:
     return tuple(vscale(F, c, r) for r in A)

@@ -255,6 +255,19 @@ def classify_case(A: Algebra, R: Matrix, weight: Scalar) -> CheckReport:
     than returning a verdict: either the input was not Rota-Baxter or the
     case analysis itself is wrong, and both deserve a loud witness.
 
+    Every invariant is decided once, from the reflection B = -R - wE and
+    the one product R B = -(R^2 + wR), which must vanish.  R is trivial
+    when R = 0 or B = 0.
+
+    * Case 1 (the apex column leaves Span{b_n}) is the single test
+      R^T = B.  The shift S = R + (w/2)E is skew exactly when
+      R^T = -R - wE = B; the diagonal of R^T = B gives the apex
+      coefficient -w/2; and S^2 - (w^2/4)E = R^2 + wR = -RB is already 0.
+    * Case 2 (the hyperplane part of the apex column is 0) needs no test
+      of its own: the apex coefficient a satisfies a^2 + wa = 0, so a is
+      0 or -w, and the hyperplane block H satisfies H^2 + wH = 0, because
+      these are the bottom-right entry and the top-left block of R^2 + wR.
+
     details: case ("trivial" | 1 | 2), the apex coefficient, and the
     certificate facts of the case.
     """
@@ -263,48 +276,31 @@ def classify_case(A: Algebra, R: Matrix, weight: Scalar) -> CheckReport:
     if F.char == 2:
         raise FieldError("case analysis halves the weight; characteristic 2 "
                          "is out of scope")
-    n = A.dim
-    a = n - 1
+    a = A.dim - 1
     w = weight
-    if not is_splitting(F, R, w):
+    B = reflect_operator(F, R, w)
+    if not la.is_zero_matrix(F, la.mat_mul(F, R, B)):
         raise FalsificationError("operator violates R^2 + wR = 0", witness=R)
-    if is_trivial_operator(F, R, w):
-        variant = "zero" if la.is_zero_matrix(F, R) else "minus_weight"
-        return CheckReport(True, details={"case": "trivial",
-                                          "variant": variant,
-                                          "apex_coefficient": F.format(R[a][a])})
-    apex_col_hyp = tuple(R[k][a] for k in range(a))
     alpha_a = R[a][a]
-    if not la.is_zero_vector(F, apex_col_hyp):
+    zero = la.is_zero_matrix(F, R)
+    if zero or la.is_zero_matrix(F, B):
+        return CheckReport(True, details={
+            "case": "trivial",
+            "variant": "zero" if zero else "minus_weight",
+            "apex_coefficient": F.format(alpha_a),
+        })
+    if any(not F.is_zero(R[k][a]) for k in range(a)):
+        if la.transpose(R) != B:
+            raise FalsificationError(
+                "case 1 operator with R^T != -R - wE, so R + (w/2)E is "
+                "not skew-symmetric", witness=R)
         half_w = F.half(w)
-        if alpha_a != F.neg(half_w):
-            raise FalsificationError(
-                "case 1 operator whose apex coefficient is not -w/2",
-                witness=(R, F.format(alpha_a)))
-        S = la.mat_add(F, R, la.mat_scale(F, half_w,
-                                          la.identity_matrix(F, n)))
-        if not la.is_skew_symmetric(F, S):
-            raise FalsificationError("case 1 shift is not skew-symmetric",
-                                     witness=S)
-        target = la.mat_scale(F, F.mul(half_w, half_w),
-                              la.identity_matrix(F, n))
-        if la.mat_mul(F, S, S) != target:
-            raise FalsificationError(
-                "case 1 shift square is not (w^2/4)E", witness=S)
         return CheckReport(True, details={
             "case": 1,
             "apex_coefficient": F.format(alpha_a),
             "shift_skew": True,
             "shift_square_scalar": F.format(F.mul(half_w, half_w)),
         })
-    if not F.is_zero(alpha_a) and alpha_a != F.neg(w):
-        raise FalsificationError(
-            "case 2 apex coefficient outside {0, -w}",
-            witness=(R, F.format(alpha_a)))
-    block = tuple(row[:a] for row in R[:a])
-    if not is_splitting(F, block, w):
-        raise FalsificationError("case 2 hyperplane block violates "
-                                 "B^2 + wB = 0", witness=block)
     return CheckReport(True, details={
         "case": 2,
         "apex_coefficient": F.format(alpha_a),
@@ -316,7 +312,7 @@ def classify_case(A: Algebra, R: Matrix, weight: Scalar) -> CheckReport:
 def square_isotropy_check(A: Algebra, R: Matrix, weight: Scalar,
                           verify: bool = True) -> CheckReport:
     """The two matrix-level facts for apex-algebra operators: the quadratic
-    relation R^2 + wR = 0, and the isotropy disjunction R^T R = 0 or
+    relation R^2 + wR = -RB = 0, and the isotropy disjunction R^T R = 0 or
     B^T B = 0 for the reflection B = -R - w id.
 
     With verify=True (default) the input is first checked to be Rota-Baxter
@@ -327,8 +323,8 @@ def square_isotropy_check(A: Algebra, R: Matrix, weight: Scalar,
     F = A.field
     if verify and not is_rb_operator(A, R, weight):
         raise ValueError("not a Rota-Baxter operator of this weight")
-    r2 = is_splitting(F, R, weight)
     B = reflect_operator(F, R, weight)
+    r2 = la.is_zero_matrix(F, la.mat_mul(F, R, B))
     ata = la.is_zero_matrix(F, la.mat_mul(F, la.transpose(R), R))
     btb = la.is_zero_matrix(F, la.mat_mul(F, la.transpose(B), B))
     branch = {(True, True): "both", (True, False): "operator",
@@ -382,17 +378,20 @@ def rb_index(A: Algebra, weight: Scalar,
              operators: list[Matrix]) -> int | None:
     """The least m such that every weight-w operator R in `operators` (the
     complete set, from enumerate_rb_operators) admits some k <= m with
-    R^k (R + wE)^(m-k) = 0; None when no m up to dim^2 works.
+    R^k (R + wE)^(m-k) = 0; None when no m up to dim works.
 
-    Kernel chains stabilize within dim steps, so any operator admitting
-    such a vanishing at all admits one with m <= 2 dim <= dim^2 + 1; the
-    scan bound dim^2 is therefore only a formality for dim >= 2.  The
-    powers of R + wE are taken as those of the reflection B = -R - wE:
-    R^k B^(m-k) = +-R^k (R + wE)^(m-k).
+    The bound dim is sharp.  The powers of R + wE are taken as those of the
+    reflection B = -R - wE: R^k B^(m-k) = +-R^k (R + wE)^(m-k).  For w = 0,
+    R^k B^j = +-R^(k+j), which vanishes for some k + j exactly when R is
+    nilpotent, of index at most dim.  For w != 0, R and B commute with
+    R + B = -wE, so F^dim = ker R^dim (+) ker B^dim (+) U with R and B both
+    invertible on U (B = -wE - R is invertible where R is nilpotent, and
+    vice versa).  A vanishing R^k B^j therefore exists only when U = 0, and
+    then the least m is the sum of the nilpotency indices of R on ker R^dim
+    and of B on ker B^dim, at most dim ker R^dim + dim ker B^dim = dim.
     """
     F = A.field
     n = A.dim
-    bound = max(n * n, 1)
     worst = 0
     for R in operators:
         rp = _powers(F, R)
@@ -400,7 +399,7 @@ def rb_index(A: Algebra, weight: Scalar,
         # R^k B^(m-k), with the power E = R^0 = B^0 never built
         mixed = lambda m, k: (bp(m) if k == 0 else rp(m) if k == m
                               else la.mat_mul(F, rp(k), bp(m - k)))
-        m_r = next((m for m in range(1, bound + 1)
+        m_r = next((m for m in range(1, n + 1)
                     for k in range(m + 1)
                     if la.is_zero_matrix(F, mixed(m, k))),
                    None)

@@ -15,8 +15,9 @@ from prelie.algebras import (Algebra, apex_algebra, check_identity,
 from prelie.errors import CapError, DimensionError
 from prelie.fields import (FieldError, PrimeField, QuadraticField,
                            RationalField, make_field)
-from prelie.linalg import (mat_add, mat_mul, span, trace, transpose,
-                           zero_matrix)
+from prelie.linalg import mat_mul, span, trace, transpose, zero_matrix
+
+from helpers import mat_add
 
 Q = RationalField()
 GF3 = PrimeField(3)

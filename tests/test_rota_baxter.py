@@ -11,15 +11,16 @@ from fractions import Fraction
 
 import pytest
 
-from prelie.algebras import Algebra, apex_algebra, is_subalgebra
+from prelie import linalg as la
+from prelie.algebras import Algebra, _check_apex, apex_algebra, is_subalgebra
 from prelie.errors import CapError, DimensionError, FalsificationError
 from prelie.fields import (FieldError, PrimeField, QuadraticField,
                            RationalField, make_field)
 from prelie.linalg import (basis_vector, column_space, identity_matrix,
                            is_invertible, is_lagrangian, is_zero_matrix,
-                           kernel, mat_add, mat_mul, mat_scale,
-                           matrix_sort_key, random_matrix, span, transpose,
-                           vadd, vscale, zero_vector)
+                           kernel, mat_mul, mat_scale,
+                           matrix_sort_key, random_matrix, rref, span,
+                           transpose, vadd, vscale, zero_vector)
 from prelie.rota_baxter import (_projection, classify_case,
                                 enumerate_decompositions,
                                 enumerate_rb_operators, is_rb_operator,
@@ -31,8 +32,9 @@ from prelie.rota_baxter import (_projection, classify_case,
                                 splitting_certificate, splitting_operator,
                                 square_isotropy_check,
                                 totally_real_isotropy_check)
+from prelie.reports import CheckReport
 
-from helpers import residuals_vanish
+from helpers import mat_add, residuals_vanish
 from test_linalg import solve
 
 Q = RationalField()
@@ -507,13 +509,197 @@ def test_rb_index_matches_the_dense_oracle(F, n):
             ops = rng.sample(pool, 3)
             indices.append(rb_index(A, w, ops))
             assert indices[-1] == ref_rb_index(F, n, w, ops)
-        if n <= 3:
-            # most likely no vanishing: every power up to n^2 is compared
-            ops = [pool[0], random_matrix(F, n, n, rng)]
-            indices.append(rb_index(A, w, ops))
-            assert indices[-1] == ref_rb_index(F, n, w, ops)
+        # most likely no vanishing: the oracle compares every power up to
+        # n^2, rb_index every power up to n
+        ops = [pool[0], random_matrix(F, n, n, rng)]
+        indices.append(rb_index(A, w, ops))
+        assert indices[-1] == ref_rb_index(F, n, w, ops)
     assert n == 1 or any(m is not None and m > 1 for m in indices)
-    assert n > 3 or None in indices
+    assert None in indices
+
+
+def jordan_block(F, size, shift):
+    """shift E + J on F^size, J the full nilpotent Jordan block."""
+    return tuple(tuple(shift if j == i else F.one if j == i + 1 else F.zero
+                       for j in range(size)) for i in range(size))
+
+
+def jordan_operator(F, w, sizes, rng):
+    """M diag(J0, -wE + J1, X) M^-1 for a random invertible M, with J0 and
+    J1 full nilpotent Jordan blocks and X random, of the given sizes.  With
+    X empty and w nonzero its index is exactly len(J0) + len(J1)."""
+    blocks = [jordan_block(F, sizes[0], F.zero),
+              jordan_block(F, sizes[1], F.neg(w)),
+              random_matrix(F, sizes[2], sizes[2], rng)]
+    n = sum(sizes)
+    D = [[F.zero] * n for _ in range(n)]
+    start = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            D[start + i][start:start + len(row)] = row
+        start += len(block)
+    while True:
+        M = random_matrix(F, n, n, rng)
+        if is_invertible(F, M):
+            break
+    reduced = rref(F, [row + e for row, e in
+                       zip(M, identity_matrix(F, n))])[0]
+    inverse = tuple(tuple(row[n:]) for row in reduced)
+    return mat_mul(F, M, mat_mul(F, tuple(map(tuple, D)), inverse))
+
+
+@pytest.mark.parametrize("F", REFLECTION_FIELDS, ids=repr)
+@pytest.mark.parametrize("n", range(1, 6))
+def test_rb_index_reaches_dim_on_full_jordan_blocks(F, n):
+    # the index bound dim is sharp, so a scan that stops at dim - 1 fails
+    rng = random.Random(n)
+    A = apex_algebra(F, n)
+    k = rng.randrange(n)
+    j = rng.randrange(n - k)
+    # with X nonempty, most likely no vanishing
+    cases = [(F.one, jordan_operator(F, F.one, (k, j, n - k - j), rng))]
+    for w in sample_weights(F, rng):
+        cases += [(w, jordan_operator(F, w, (t, n - t, 0), rng))
+                  for t in range(n + 1)]
+    indices = []
+    for w, R in cases:
+        indices.append(rb_index(A, w, [R]))
+        assert indices[-1] == ref_rb_index(F, n, w, [R])
+    assert n in indices
+
+
+# ------------------------------ case analysis against the per-invariant form
+#
+# classify_case decides every invariant from B = -R - wE and the product RB.
+# The oracle below tests each invariant on matrices of its own: the apex
+# coefficient, the shift S = R + (w/2)E, its skewness and its square, and in
+# case 2 the apex coefficient and the hyperplane block.
+
+def ref_classify_case(A, R, weight):
+    _check_apex(A, R)
+    F = A.field
+    if F.char == 2:
+        raise FieldError("case analysis halves the weight; characteristic 2 "
+                         "is out of scope")
+    n = A.dim
+    a = n - 1
+    w = weight
+    if not is_splitting(F, R, w):
+        raise FalsificationError("operator violates R^2 + wR = 0", witness=R)
+    if is_trivial_operator(F, R, w):
+        variant = "zero" if la.is_zero_matrix(F, R) else "minus_weight"
+        return CheckReport(True, details={"case": "trivial",
+                                          "variant": variant,
+                                          "apex_coefficient": F.format(R[a][a])})
+    apex_col_hyp = tuple(R[k][a] for k in range(a))
+    alpha_a = R[a][a]
+    if not la.is_zero_vector(F, apex_col_hyp):
+        half_w = F.half(w)
+        if alpha_a != F.neg(half_w):
+            raise FalsificationError(
+                "case 1 operator whose apex coefficient is not -w/2",
+                witness=(R, F.format(alpha_a)))
+        S = mat_add(F, R, la.mat_scale(F, half_w,
+                                       la.identity_matrix(F, n)))
+        if not la.is_skew_symmetric(F, S):
+            raise FalsificationError("case 1 shift is not skew-symmetric",
+                                     witness=S)
+        target = la.mat_scale(F, F.mul(half_w, half_w),
+                              la.identity_matrix(F, n))
+        if la.mat_mul(F, S, S) != target:
+            raise FalsificationError(
+                "case 1 shift square is not (w^2/4)E", witness=S)
+        return CheckReport(True, details={
+            "case": 1,
+            "apex_coefficient": F.format(alpha_a),
+            "shift_skew": True,
+            "shift_square_scalar": F.format(F.mul(half_w, half_w)),
+        })
+    if not F.is_zero(alpha_a) and alpha_a != F.neg(w):
+        raise FalsificationError(
+            "case 2 apex coefficient outside {0, -w}",
+            witness=(R, F.format(alpha_a)))
+    block = tuple(row[:a] for row in R[:a])
+    if not is_splitting(F, block, w):
+        raise FalsificationError("case 2 hyperplane block violates "
+                                 "B^2 + wB = 0", witness=block)
+    return CheckReport(True, details={
+        "case": 2,
+        "apex_coefficient": F.format(alpha_a),
+        "phi_normalized": alpha_a == F.neg(w) and not F.is_zero(w),
+        "block_quadratic": True,
+    })
+
+
+def same_case(A, R, w):
+    """The case both forms give R, or None when both raise
+    FalsificationError."""
+    try:
+        expect = ref_classify_case(A, R, w)
+    except FalsificationError:
+        with pytest.raises(FalsificationError):
+            classify_case(A, R, w)
+        return None
+    got = classify_case(A, R, w)
+    assert (got.ok, got.witness, got.details) == \
+        (expect.ok, expect.witness, expect.details)
+    return got.details["case"]
+
+
+# case 1 needs a root of -1 at n = 2 and does not occur at n = 3
+CLASSIFY_SETS = [(GF3, 2, {"trivial"}), (GF3, 3, {"trivial", 2}),
+                 (GF5, 2, {"trivial", 1, 2}), (GF5, 3, {"trivial", 2}),
+                 (PrimeField(7), 2, {"trivial"}),
+                 (PrimeField(7), 3, {"trivial", 2}),
+                 (GF9, 2, {"trivial", 1, 2})]
+
+
+@pytest.mark.parametrize("F, n, expect", CLASSIFY_SETS,
+                         ids=[f"{F!r}-{n}" for F, n, _ in CLASSIFY_SETS])
+def test_classify_case_matches_the_oracle_on_every_operator(F, n, expect):
+    A = apex_algebra(F, n)
+    cases = {same_case(A, R, w) for w in F.elements()
+             for R in enumerate_rb_operators(A, w, cap=10 ** 10)}
+    assert cases == expect
+
+
+def hyperplane_apex_zeroed(F, R):
+    """R with the hyperplane part of its apex column set to 0."""
+    a = len(R) - 1
+    return tuple(row[:a] + (row[a] if i == a else F.zero,)
+                 for i, row in enumerate(R))
+
+
+def apex_direct_sums(F, n, rng):
+    """The two halves of a random basis of F^n that ends with b_n, split
+    at every k, in both orders."""
+    while True:
+        basis = random_matrix(F, n - 1, n, rng) + (basis_vector(F, n, n - 1),)
+        if is_invertible(F, basis):
+            break
+    return [pair for k in range(n + 1) for pair in
+            ((span(F, n, basis[:k]), span(F, n, basis[k:])),
+             (span(F, n, basis[k:]), span(F, n, basis[:k])))]
+
+
+@pytest.mark.parametrize("F", [Q, QI, GF9, PrimeField(13)], ids=repr)
+@pytest.mark.parametrize("n", range(2, 6))
+def test_classify_case_matches_the_oracle_on_projections(F, n):
+    # R = -w P for a projection P has R^2 + wR = 0, so every input passes
+    # the first test; with b_n in one part R is in case 2, and zeroing the
+    # hyperplane part of the apex column leads to case 2 or breaks
+    # R^2 + wR = 0.  At w = 0 every R is 0.
+    rng = random.Random(n)
+    A = apex_algebra(F, n)
+    cases = []
+    for w in (F.one, F.from_int(2), F.random(rng)):
+        sums = (random_direct_sums(F, n, rng) + random_direct_sums(F, n, rng)
+                + apex_direct_sums(F, n, rng))
+        for p1, p2 in sums:
+            R = _projection(A, p1, p2, w)
+            cases += [same_case(A, R, w),
+                      same_case(A, hyperplane_apex_zeroed(F, R), w)]
+    assert {None, "trivial", 2} <= set(cases)
 
 
 # ----------------------------------------------------- JSON-native details
